@@ -238,10 +238,11 @@ func (s *scheduler) worker(steps []func() error, errs []error) {
 			}
 			// Park request: the blocking operation registered t in a wait
 			// structure before returning, so the wakeup may already have
-			// raced in while the step was unwinding.
-			spur := faultinject.Fire("sched.spurious.unpark")
+			// raced in while the step was unwinding. That unpark was
+			// counted, so the park is counted before the early requeue.
 			s.mu.Lock()
 			s.nRunning--
+			s.parks++
 			if t.wake.complete {
 				t.state = taskReady
 				s.nReady++
@@ -249,8 +250,7 @@ func (s *scheduler) worker(steps []func() error, errs []error) {
 				s.runq <- t
 				continue
 			}
-			s.parks++
-			if spur {
+			if faultinject.Fire("sched.spurious.unpark") {
 				// Injected spurious wakeup: requeue with the wake left
 				// incomplete. The pop above re-parks it (or runs it, if
 				// the real wakeup arrives first); the wait structure's
