@@ -98,27 +98,25 @@ func BenchmarkT1_CompileNBody(b *testing.B) {
 // --- T2: parallel primitives ------------------------------------------------
 
 func BenchmarkT2_Barrier(b *testing.B) {
-	for _, alg := range []shmem.BarrierAlg{shmem.BarrierCentral, shmem.BarrierDissemination} {
-		for _, np := range []int{4, 16} {
-			b.Run(fmt.Sprintf("%v/np%d", alg, np), func(b *testing.B) {
-				world, err := shmem.NewWorld(np, nil, 0, shmem.Options{Barrier: alg})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				err = world.Run(func(pe *shmem.PE) error {
-					for i := 0; i < b.N; i++ {
-						if err := pe.Barrier(); err != nil {
-							return err
-						}
+	for _, np := range []int{4, 16} {
+		b.Run(fmt.Sprintf("np%d", np), func(b *testing.B) {
+			world, err := shmem.NewWorld(np, nil, 0, shmem.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			err = world.Run(func(pe *shmem.PE) error {
+				for i := 0; i < b.N; i++ {
+					if err := pe.Barrier(); err != nil {
+						return err
 					}
-					return nil
-				})
-				if err != nil {
-					b.Fatal(err)
 				}
+				return nil
 			})
-		}
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 

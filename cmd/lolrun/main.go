@@ -30,7 +30,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/machine"
-	"repro/internal/shmem"
 	"repro/internal/trace"
 	"repro/internal/vm"
 )
@@ -51,7 +50,6 @@ func run(args []string) int {
 	group := fs.Bool("group", false, "buffer output per PE and emit it grouped in rank order")
 	stats := fs.Bool("stats", false, "print runtime statistics after the run")
 	traceFlag := fs.Bool("trace", false, "record runtime events and draw the data movement per barrier phase")
-	dissem := fs.Bool("dissemination-barrier", false, "use the dissemination barrier instead of the central one")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the run (0 = unlimited)")
 	maxSteps := fs.Int64("max-steps", 0, "per-PE step budget (0 = unlimited)")
 	dumpBytecode := fs.Bool("dump-bytecode", false, "print the vm backend's bytecode (after superinstruction fusion) and exit without running")
@@ -85,10 +83,6 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "lolrun: -timeout must be non-negative")
 		return 2
 	}
-	alg := shmem.BarrierCentral
-	if *dissem {
-		alg = shmem.BarrierDissemination
-	}
 
 	prog, err := core.ParseFile(fs.Arg(0))
 	if err != nil {
@@ -117,7 +111,6 @@ func run(args []string) int {
 	cfg := interp.Config{
 		NP:          *np,
 		Model:       model,
-		Barrier:     alg,
 		Seed:        *seed,
 		Stdout:      os.Stdout,
 		Stderr:      os.Stderr,

@@ -7,7 +7,7 @@
 // The pieces, bottom to top:
 //
 //   - internal/shmem: an OpenSHMEM-flavoured PGAS runtime over goroutines
-//     (symmetric heaps, one-sided put/get, barriers, locks, collectives);
+//     (symmetric heaps, one-sided put/get, barriers, locks);
 //   - internal/noc and internal/machine: latency models for the paper's
 //     platforms — the Epiphany-III 2D-mesh NoC on the Parallella board and
 //     a Cray XC40-style hierarchy;

@@ -97,10 +97,9 @@ func NewWorld(info *sema.Info, cfg Config) (*shmem.World, error) {
 		syms[i] = shmem.SymbolSpec{Name: s.Name, IsArray: s.IsArray, Elem: s.Type}
 	}
 	return shmem.NewWorld(cfg.NP, syms, len(info.Locks), shmem.Options{
-		Model:   cfg.Model,
-		Barrier: cfg.Barrier,
-		Seed:    cfg.Seed,
-		Tracer:  cfg.Tracer,
+		Model:  cfg.Model,
+		Seed:   cfg.Seed,
+		Tracer: cfg.Tracer,
 	})
 }
 
@@ -116,8 +115,8 @@ type PEIO struct {
 // and collects the Result. body runs concurrently on every PE.
 //
 // When cfg.Context is set, a watcher fails the world the moment the
-// context is cancelled, so PEs blocked in HUGZ, locks, or point-to-point
-// waits are released promptly even if no PE is currently running engine
+// context is cancelled, so PEs blocked in HUGZ or locks are released
+// promptly even if no PE is currently running engine
 // steps; the engines' own meters catch cancellation on compute-bound
 // paths. The returned error then satisfies errors.Is against the
 // context's error.

@@ -62,8 +62,6 @@ type Config struct {
 	NP int
 	// Model prices one-sided operations; nil runs at zero cost.
 	Model shmem.CostModel
-	// Barrier selects the HUGZ implementation.
-	Barrier shmem.BarrierAlg
 	// Seed is the base seed for WHATEVR/WHATEVAR; PE i uses Seed+i.
 	Seed int64
 	// Stdout and Stderr receive VISIBLE and INVISIBLE output. nil discards.
@@ -80,8 +78,8 @@ type Config struct {
 	Tracer shmem.Tracer
 	// Context, when non-nil, bounds the run: when it is cancelled (deadline,
 	// client disconnect) every PE is torn down cooperatively, including PEs
-	// blocked in HUGZ, locks, or point-to-point waits. The run's error then
-	// satisfies errors.Is against the context's error.
+	// blocked in HUGZ or locks. The run's error then satisfies errors.Is
+	// against the context's error.
 	Context context.Context
 	// StepBudget caps the number of engine steps each PE may execute;
 	// 0 means unlimited. What one step is depends on the engine (see the

@@ -67,11 +67,13 @@ func TestContextDeadlineKillsEveryBackend(t *testing.T) {
 	}
 }
 
-// TestCancelReleasesBarrier cancels a run where one PE spins forever while
-// the others block in HUGZ: cancellation must release the blocked PEs
-// rather than deadlocking the barrier.
+// TestCancelReleasesBarrier cancels runs where PE 0 spins forever while
+// the others wait for it: in HUGZ, or in IM SRSLY MESIN WIF behind the
+// lock PE 0 holds. Cancellation must release the waiting PEs rather than
+// deadlocking the barrier or the lock queue.
 func TestCancelReleasesBarrier(t *testing.T) {
-	const src = `HAI 1.2
+	sources := []struct{ name, src string }{
+		{"hugz", `HAI 1.2
 BOTH SAEM ME AN 0, O RLY?
 YA RLY
   I HAS A x ITZ 0
@@ -80,32 +82,51 @@ YA RLY
   IM OUTTA YR forever
 OIC
 HUGZ
-KTHXBYE`
-	prog, err := core.Parse("stuck.lol", src)
-	if err != nil {
-		t.Fatal(err)
+KTHXBYE`},
+		{"lock", `HAI 1.2
+WE HAS A tally ITZ SRSLY A NUMBR AN IM SHARIN IT
+BOTH SAEM ME AN 0, O RLY?
+YA RLY
+  IM SRSLY MESIN WIF tally
+  HUGZ
+  I HAS A x ITZ 0
+  IM IN YR forever
+    x R SUM OF x AN 1
+  IM OUTTA YR forever
+NO WAI
+  HUGZ
+  IM SRSLY MESIN WIF tally
+  DUN MESIN WIF tally
+OIC
+KTHXBYE`},
 	}
 	for _, eng := range backend.All() {
 		eng := eng
 		t.Run(eng.Name(), func(t *testing.T) {
 			t.Parallel()
-			ctx, cancel := context.WithCancel(context.Background())
-			go func() {
-				time.Sleep(30 * time.Millisecond)
-				cancel()
-			}()
-			done := make(chan error, 1)
-			go func() {
-				_, err := eng.Run(prog.Info, backend.Config{NP: 4, Context: ctx})
-				done <- err
-			}()
-			select {
-			case err := <-done:
-				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("error = %v, want Canceled", err)
+			for _, tc := range sources {
+				prog, err := core.Parse(tc.name+".lol", tc.src)
+				if err != nil {
+					t.Fatal(err)
 				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("cancelled run did not release PEs blocked in HUGZ")
+				ctx, cancel := context.WithCancel(context.Background())
+				go func() {
+					time.Sleep(30 * time.Millisecond)
+					cancel()
+				}()
+				done := make(chan error, 1)
+				go func() {
+					_, err := eng.Run(prog.Info, backend.Config{NP: 4, Context: ctx})
+					done <- err
+				}()
+				select {
+				case err := <-done:
+					if !errors.Is(err, context.Canceled) {
+						t.Fatalf("%s: error = %v, want Canceled", tc.name, err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%s: cancelled run did not release the waiting PEs", tc.name)
+				}
 			}
 		})
 	}

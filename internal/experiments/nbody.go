@@ -284,33 +284,29 @@ func Scaling(w io.Writer, parallellaNP, xc40NP []int) ([]ScalingResult, error) {
 	return results, nil
 }
 
-// BarrierScaling measures HUGZ latency per episode for both barrier
-// algorithms across PE counts (the T2 microbenchmark).
+// BarrierScaling measures HUGZ latency per episode across PE counts (the
+// T2 microbenchmark).
 func BarrierScaling(w io.Writer, npList []int, episodes int) error {
 	fmt.Fprintf(w, "T2 micro — HUGZ (barrier) wall latency per episode\n")
-	fmt.Fprintf(w, "%-6s %-16s %-16s\n", "np", "central", "dissemination")
+	fmt.Fprintf(w, "%-6s %-16s\n", "np", "latency")
 	for _, np := range npList {
-		var times [2]time.Duration
-		for i, alg := range []shmem.BarrierAlg{shmem.BarrierCentral, shmem.BarrierDissemination} {
-			world, err := shmem.NewWorld(np, nil, 0, shmem.Options{Barrier: alg})
-			if err != nil {
-				return err
-			}
-			start := time.Now()
-			err = world.Run(func(pe *shmem.PE) error {
-				for k := 0; k < episodes; k++ {
-					if err := pe.Barrier(); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			times[i] = time.Since(start) / time.Duration(episodes)
+		world, err := shmem.NewWorld(np, nil, 0, shmem.Options{})
+		if err != nil {
+			return err
 		}
-		fmt.Fprintf(w, "%-6d %-16v %-16v\n", np, times[0], times[1])
+		start := time.Now()
+		err = world.Run(func(pe *shmem.PE) error {
+			for k := 0; k < episodes; k++ {
+				if err := pe.Barrier(); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%-6d %-16v\n", np, time.Since(start)/time.Duration(episodes))
 	}
 	return nil
 }

@@ -6,9 +6,9 @@
 //
 // The emitted program is a thin shim over internal/native/child: it
 // declares the symmetric heap layout and the SPMD body and hands both to
-// child.Main, which owns the flag surface (-np, -machine, -seed,
-// -dissemination-barrier) and, under -serve, the subprocess protocol the
-// lolserv native execution tier speaks. So
+// child.Main, which owns the flag surface (-np, -machine, -seed) and,
+// under -serve, the subprocess protocol the lolserv native execution tier
+// speaks. So
 //
 //	lcc -emit-go code.lol > gen/main.go && go run ./gen -np 16
 //

@@ -102,7 +102,6 @@ func Main(spec Spec) {
 	np := flag.Int("np", 1, "number of processing elements")
 	machineName := flag.String("machine", "smp", "cost model: "+strings.Join(machine.Names(), ", "))
 	seed := flag.Int64("seed", 1, "base RNG seed (PE i uses seed+i)")
-	dissem := flag.Bool("dissemination-barrier", false, "use the dissemination barrier")
 	serve := flag.Bool("serve", false, "lolserv native-tier mode: grouped output, JSON result on stdout")
 	maxOutput := flag.Int("max-output", 0, "serve mode: cap each output stream at this many bytes (0 = unlimited)")
 	timeout := flag.Duration("timeout", 0, "serve mode: wall-clock budget; the run is torn down cooperatively (0 = none)")
@@ -116,12 +115,8 @@ func Main(spec Spec) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	alg := shmem.BarrierCentral
-	if *dissem {
-		alg = shmem.BarrierDissemination
-	}
 	world, err := shmem.NewWorld(*np, spec.Symbols, spec.Locks, shmem.Options{
-		Model: model, Seed: *seed, Barrier: alg,
+		Model: model, Seed: *seed,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -129,11 +124,10 @@ func Main(spec Spec) {
 	}
 
 	cfg := backend.Config{
-		NP:      *np,
-		Model:   model,
-		Barrier: alg,
-		Seed:    *seed,
-		Stdin:   os.Stdin,
+		NP:    *np,
+		Model: model,
+		Seed:  *seed,
+		Stdin: os.Stdin,
 	}
 	if *serve {
 		os.Exit(serveMode(cfg, world, spec, serveOpts{

@@ -95,7 +95,7 @@ func newServerMetrics(s *Server, slowWindow int) *serverMetrics {
 		func() float64 { return time.Since(s.start).Seconds() })
 
 	reg.RegisterCounter("lolserv_sched_jobs_total", "Jobs executed under the bounded worker scheduler.", &s.schedJobs)
-	reg.RegisterCounter("lolserv_sched_parks_total", "PE continuations parked at a blocking point (barrier, lock, point-to-point wait).", &s.schedParks)
+	reg.RegisterCounter("lolserv_sched_parks_total", "PE continuations parked at a blocking point (barrier, lock).", &s.schedParks)
 	reg.RegisterCounter("lolserv_sched_unparks_total", "Wakeups delivered to parked PE continuations.", &s.schedUnparks)
 	reg.RegisterCounter("lolserv_sched_spurious_total", "Injected spurious wakeups absorbed by the park protocol.", &s.schedSpurious)
 	reg.RegisterCounter("lolserv_sched_yields_total", "Cooperative yields by compute-bound PEs.", &s.schedYields)

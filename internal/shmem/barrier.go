@@ -2,67 +2,28 @@ package shmem
 
 import "sync"
 
-// barrier is the internal collective-barrier interface. wait is the
-// goroutine-mode entry (blocks the caller); arrive is the scheduler-mode
-// entry (returns *Suspend instead of blocking, with the wait structure
-// unparking the task later). wake releases all waiters — blocked AND
-// parked — after a world failure so SPMD programs tear down instead of
-// deadlocking.
-type barrier interface {
-	wait(pe int, w *World) error
-	arrive(t *peTask) error
-	wake()
-}
-
-// centralBarrier is a sense-reversing central barrier: a mutex-protected
-// arrival count plus a generation number broadcast over a condition
-// variable. Simple, fair enough, and O(n) wakeup — the teaching default.
+// centralBarrier is a central counting barrier: a mutex-protected arrival
+// count plus the list of tasks parked in the current episode. Simple,
+// fair enough, and O(n) wakeup — the teaching default.
 //
-// Scheduler mode shares the arrival count: parked tasks are appended to
-// parked instead of waiting on cond, and the episode-closing arrival (or
-// wake) drains that list with explicit unparks. The sense-reversal
-// generation is preserved structurally — parked is emptied atomically
-// with the gen++ under mu, so a task parked in episode k can never be
-// woken by episode k+1's completion.
+// The episode-closing arrival swaps parked out under mu, atomically with
+// the count reset, so a task parked in episode k can never be woken by
+// episode k+1's completion; that is the sense reversal a generation
+// counter would otherwise provide. The swapped-out list becomes spare
+// and is refilled two episodes later. The closer walks it after
+// unlocking, but episode k+1 cannot complete, and so episode k+2 cannot
+// begin, until the closer itself arrives again.
 type centralBarrier struct {
 	mu      sync.Mutex
-	cond    *sync.Cond
 	n       int
 	arrived int
-	gen     uint64
 	broken  bool
 	parked  []*peTask
+	spare   []*peTask
 }
 
-func newCentralBarrier(n int) *centralBarrier {
-	b := &centralBarrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *centralBarrier) wait(pe int, w *World) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.broken {
-		return ErrWorldFailed
-	}
-	gen := b.gen
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.gen++
-		b.cond.Broadcast()
-		return nil
-	}
-	for b.gen == gen && !b.broken {
-		b.cond.Wait()
-	}
-	if b.broken {
-		return ErrWorldFailed
-	}
-	return nil
-}
-
+// arrive records t's arrival. The last arrival unparks every parked task
+// and returns nil; earlier ones register t and return suspendPark.
 func (b *centralBarrier) arrive(t *peTask) error {
 	b.mu.Lock()
 	if b.broken {
@@ -70,170 +31,30 @@ func (b *centralBarrier) arrive(t *peTask) error {
 		return ErrWorldFailed
 	}
 	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.gen++
-		woken := b.parked
-		b.parked = nil
-		// A world is scheduled or goroutine-per-PE, never both, but
-		// broadcasting is harmless and keeps wait/arrive composable.
-		b.cond.Broadcast()
+	if b.arrived < b.n {
+		b.parked = append(b.parked, t)
 		b.mu.Unlock()
-		for _, pt := range woken {
-			pt.sched.unpark(pt, nil, true)
-		}
-		return nil
+		return suspendPark
 	}
-	b.parked = append(b.parked, t)
+	b.arrived = 0
+	woken := b.parked
+	b.parked, b.spare = b.spare[:0], woken
 	b.mu.Unlock()
-	return suspendPark
+	for _, pt := range woken {
+		pt.unpark(nil)
+	}
+	return nil
 }
 
+// wake breaks the barrier after a world failure: every parked task is
+// unparked with ErrWorldFailed and later arrivals fail immediately.
 func (b *centralBarrier) wake() {
 	b.mu.Lock()
 	b.broken = true
 	woken := b.parked
 	b.parked = nil
-	b.cond.Broadcast()
 	b.mu.Unlock()
-	// Parked waiters hold no goroutine to observe the broadcast; they
-	// must be unparked explicitly or a failing world strands them.
 	for _, pt := range woken {
-		pt.sched.unpark(pt, ErrWorldFailed, true)
-	}
-}
-
-// disseminationBarrier runs ceil(log2 n) rounds; in round r, PE p sends a
-// token to PE (p + 2^r) mod n and receives one from PE (p - 2^r) mod n.
-// Token channels have capacity 2: a PE can be at most two barrier episodes
-// ahead of a partner (completing episode k+2 implies every PE entered it,
-// hence consumed its episode-k token), so two slots can never overflow.
-//
-// Scheduler mode replaces the channels with counters (ptokens) plus a
-// parked-task slot per (round, PE), all under one mutex, and keeps the
-// per-PE round cursor (pround/pdeposited) ON the barrier so it survives
-// park/resume: a task woken by a round token re-enters arrive and
-// continues from the round it parked in, not from round 0. The cap-2
-// skew argument bounds the counters exactly as it bounds the channels.
-type disseminationBarrier struct {
-	n      int
-	rounds int
-	// ch[r][p] carries the token received by PE p in round r.
-	ch     [][]chan struct{}
-	failCh <-chan struct{}
-
-	// Scheduler-mode state, lazily initialized, all under pmu.
-	pmu        sync.Mutex
-	pbroken    bool
-	ptokens    [][]int     // ptokens[r][p]: undelivered round-r tokens for PE p
-	pwait      [][]*peTask // pwait[r][p]: task parked on its round-r token
-	pround     []int       // PE p's current round in its current episode
-	pdeposited []bool      // PE p already sent its pround[p] token
-}
-
-func newDisseminationBarrier(n int, failCh <-chan struct{}) *disseminationBarrier {
-	rounds := 0
-	for (1 << rounds) < n {
-		rounds++
-	}
-	b := &disseminationBarrier{n: n, rounds: rounds, failCh: failCh}
-	b.ch = make([][]chan struct{}, rounds)
-	for r := 0; r < rounds; r++ {
-		b.ch[r] = make([]chan struct{}, n)
-		for p := 0; p < n; p++ {
-			b.ch[r][p] = make(chan struct{}, 2)
-		}
-	}
-	return b
-}
-
-func (b *disseminationBarrier) wait(pe int, w *World) error {
-	for r := 0; r < b.rounds; r++ {
-		to := (pe + (1 << r)) % b.n
-		select {
-		case b.ch[r][to] <- struct{}{}:
-		case <-b.failCh:
-			return ErrWorldFailed
-		}
-		select {
-		case <-b.ch[r][pe]:
-		case <-b.failCh:
-			return ErrWorldFailed
-		}
-	}
-	return nil
-}
-
-func (b *disseminationBarrier) arrive(t *peTask) error {
-	pe := t.pe.id
-	b.pmu.Lock()
-	if b.ptokens == nil {
-		b.ptokens = make([][]int, b.rounds)
-		b.pwait = make([][]*peTask, b.rounds)
-		for r := 0; r < b.rounds; r++ {
-			b.ptokens[r] = make([]int, b.n)
-			b.pwait[r] = make([]*peTask, b.n)
-		}
-		b.pround = make([]int, b.n)
-		b.pdeposited = make([]bool, b.n)
-	}
-	if b.pbroken {
-		b.pmu.Unlock()
-		return ErrWorldFailed
-	}
-	var wakes []*peTask
-	for b.pround[pe] < b.rounds {
-		r := b.pround[pe]
-		if !b.pdeposited[pe] {
-			to := (pe + (1 << r)) % b.n
-			b.ptokens[r][to]++
-			b.pdeposited[pe] = true
-			if wt := b.pwait[r][to]; wt != nil {
-				b.pwait[r][to] = nil
-				wakes = append(wakes, wt)
-			}
-		}
-		if b.ptokens[r][pe] > 0 {
-			b.ptokens[r][pe]--
-			b.pround[pe]++
-			b.pdeposited[pe] = false
-			continue
-		}
-		b.pwait[r][pe] = t
-		b.pmu.Unlock()
-		// Intermediate wakes (done=false): the woken task re-enters
-		// arrive and resumes from its own pround cursor.
-		for _, wt := range wakes {
-			wt.sched.unpark(wt, nil, false)
-		}
-		return suspendPark
-	}
-	// Episode complete for this PE: reset its cursor for the next HUGZ.
-	b.pround[pe] = 0
-	b.pdeposited[pe] = false
-	b.pmu.Unlock()
-	for _, wt := range wakes {
-		wt.sched.unpark(wt, nil, false)
-	}
-	return nil
-}
-
-func (b *disseminationBarrier) wake() {
-	// Goroutine-mode waiters select on failCh, which the world closes
-	// before calling wake. Parked tasks must be drained explicitly.
-	b.pmu.Lock()
-	b.pbroken = true
-	var wakes []*peTask
-	for r := range b.pwait {
-		for p, t := range b.pwait[r] {
-			if t != nil {
-				b.pwait[r][p] = nil
-				wakes = append(wakes, t)
-			}
-		}
-	}
-	b.pmu.Unlock()
-	for _, t := range wakes {
-		t.sched.unpark(t, ErrWorldFailed, true)
+		pt.unpark(ErrWorldFailed)
 	}
 }

@@ -2,13 +2,11 @@ package shmem
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// ticketLock is a FIFO spin lock in the style of the distributed queueing
+// ticketLock is a FIFO lock in the style of the distributed queueing
 // locks OpenSHMEM implementations use for shmem_set_lock: arrivals take a
 // ticket, the holder advances the serving counter on release. FIFO ordering
 // keeps lock handoff fair under contention, which the teaching examples
@@ -18,42 +16,22 @@ type ticketLock struct {
 	serving atomic.Int64
 	owner   atomic.Int64 // PE id + 1; 0 = unheld (diagnostics only)
 
-	// Scheduler-mode waiters, keyed by ticket. release hands the lock
-	// directly to the parked holder of the next ticket (FIFO preserved)
-	// and unparks it; World.fail drains the map on teardown.
+	// Parked waiters, keyed by ticket. release hands the lock directly
+	// to the parked holder of the next ticket (FIFO preserved) and
+	// unparks it; World.fail drains the map on teardown.
 	pmu    sync.Mutex
 	parked map[int64]*peTask
 }
 
-// acquire spins until this PE's ticket is served or the world fails.
-// Abandoning a ticket on failure would corrupt the queue for PEs behind
-// it, but a failed world is tearing down: every other spinner observes the
-// same failCh, so nobody is left waiting on the orphaned ticket.
-func (l *ticketLock) acquire(pe int, failCh <-chan struct{}) error {
-	t := l.next.Add(1) - 1
-	for spins := 0; l.serving.Load() != t; spins++ {
-		select {
-		case <-failCh:
-			return ErrWorldFailed
-		default:
-		}
-		if spins < 64 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(time.Microsecond)
-		}
-	}
-	l.owner.Store(int64(pe) + 1)
-	return nil
-}
-
-// acquirePark is acquire under the worker scheduler: take a ticket, and
-// either acquire immediately (nil) or register the task for a release-
-// time hand-off and suspend. The failCh check happens under pmu, which
-// release and drainParked also take, so a concurrent World.fail either
-// is observed here (the mutex orders us after the close) or finds our
-// registration when it drains — a waiter can never be stranded.
-func (l *ticketLock) acquirePark(t *peTask, failCh <-chan struct{}) error {
+// acquirePark takes a ticket, and either acquires immediately (nil) or
+// registers the task for a release-time hand-off and returns
+// suspendPark. The failure check happens under pmu, which release and
+// drainParked also take, so a concurrent World.fail either is observed
+// here (fail records its error before it drains, and the mutex orders
+// us after the drain) or finds our registration when it drains — a
+// waiter can never be stranded. Abandoning the ticket on failure leaves
+// the queue stuck behind it, but a failed world is tearing down.
+func (l *ticketLock) acquirePark(t *peTask) error {
 	tk := l.next.Add(1) - 1
 	l.pmu.Lock()
 	if l.serving.Load() == tk {
@@ -61,11 +39,9 @@ func (l *ticketLock) acquirePark(t *peTask, failCh <-chan struct{}) error {
 		l.pmu.Unlock()
 		return nil
 	}
-	select {
-	case <-failCh:
+	if t.pe.w.failed() != nil {
 		l.pmu.Unlock()
 		return ErrWorldFailed
-	default:
 	}
 	if l.parked == nil {
 		l.parked = make(map[int64]*peTask)
@@ -75,7 +51,7 @@ func (l *ticketLock) acquirePark(t *peTask, failCh <-chan struct{}) error {
 	return suspendPark
 }
 
-// drainParked unparks every scheduler-mode waiter with ErrWorldFailed.
+// drainParked unparks every waiter with ErrWorldFailed.
 func (l *ticketLock) drainParked() {
 	l.pmu.Lock()
 	var ts []*peTask
@@ -85,7 +61,7 @@ func (l *ticketLock) drainParked() {
 	}
 	l.pmu.Unlock()
 	for _, t := range ts {
-		t.sched.unpark(t, ErrWorldFailed, true)
+		t.unpark(ErrWorldFailed)
 	}
 }
 
@@ -112,9 +88,9 @@ func (l *ticketLock) release(pe int) error {
 	l.owner.Store(0)
 	s := l.serving.Add(1)
 	// Hand the lock to the parked holder of the now-serving ticket, if
-	// any. Goroutine-mode spinners observe the serving counter directly;
-	// a parked task must be made owner here (it does not re-run the
-	// acquire loop — its resumed SetLock just records the acquisition).
+	// any. The waiter is made owner here; its re-invoked SetLock only
+	// records the acquisition. A ticket taken but not yet registered is
+	// claimed by its own acquirePark, which sees serving under pmu.
 	l.pmu.Lock()
 	wt := l.parked[s]
 	if wt != nil {
@@ -123,7 +99,7 @@ func (l *ticketLock) release(pe int) error {
 	}
 	l.pmu.Unlock()
 	if wt != nil {
-		wt.sched.unpark(wt, nil, true)
+		wt.unpark(nil)
 	}
 	return nil
 }
@@ -147,36 +123,19 @@ func (pe *PE) SetLock(id int) error {
 	if err := pe.w.checkLock(id); err != nil {
 		return err
 	}
-	if pe.task != nil {
-		if pending, rerr, _ := pe.consumeResume(); pending {
-			if rerr != nil {
-				return rerr
-			}
-			pe.w.stats.LockAcquires.Add(1)
-			pe.stats.LockAcquires++
-			pe.trace(EvLock, pe.w.lockHome(id), id, 0)
-			return nil
-		}
+	pending, err := pe.consumeResume()
+	if !pending {
 		pe.charge(pe.w.model.LockNanos(pe.id, pe.w.lockHome(id)))
-		l := &pe.w.locks[id]
-		if !l.tryAcquire(pe.id) {
+		if l := &pe.w.locks[id]; !l.tryAcquire(pe.id) {
 			pe.w.stats.LockContended.Add(1)
-			if err := l.acquirePark(pe.task, pe.w.failCh); err != nil {
-				return err
-			}
+			err = l.acquirePark(pe.task)
 		}
-		pe.w.stats.LockAcquires.Add(1)
-		pe.stats.LockAcquires++
-		pe.trace(EvLock, pe.w.lockHome(id), id, 0)
-		return nil
 	}
-	pe.charge(pe.w.model.LockNanos(pe.id, pe.w.lockHome(id)))
-	l := &pe.w.locks[id]
-	if !l.tryAcquire(pe.id) {
-		pe.w.stats.LockContended.Add(1)
-		if err := l.acquire(pe.id, pe.w.failCh); err != nil {
-			return err
-		}
+	if err == suspendPark {
+		return pe.park(func() error { return pe.SetLock(id) })
+	}
+	if err != nil {
+		return err
 	}
 	pe.w.stats.LockAcquires.Add(1)
 	pe.stats.LockAcquires++
@@ -184,8 +143,8 @@ func (pe *PE) SetLock(id int) error {
 	return nil
 }
 
-// drainLockWaiters releases every scheduler-mode lock waiter after a
-// world failure; goroutine-mode spinners observe failCh themselves.
+// drainLockWaiters releases every parked lock waiter after a world
+// failure.
 func (w *World) drainLockWaiters() {
 	for i := range w.locks {
 		w.locks[i].drainParked()

@@ -36,19 +36,10 @@ type wakeState struct {
 	// was requeued spuriously (failpoint injection) and is re-parked
 	// without running — the real wakeup is still on its way.
 	complete bool
-	// deliver, err, done form the resume payload handed to the PE before
+	// deliver and err form the resume payload handed to the PE before
 	// its step is re-invoked; see PE.consumeResume.
 	deliver bool
-	done    bool
 	err     error
-}
-
-// peTask is one PE's continuation under the worker scheduler.
-type peTask struct {
-	pe    *PE
-	sched *scheduler
-	state taskState
-	wake  wakeState
 }
 
 // scheduler multiplexes N PE continuations onto a bounded worker pool.
@@ -220,7 +211,6 @@ func (s *scheduler) worker(steps []func() error, errs []error) {
 		if wk.deliver {
 			t.pe.resumePending = true
 			t.pe.resumeErr = wk.err
-			t.pe.resumeDone = wk.done
 		}
 		err := runStep(t.pe.id, steps[t.pe.id])
 
@@ -299,20 +289,15 @@ func (s *scheduler) worker(steps []func() error, errs []error) {
 
 // deadlockedLocked is the exact deadlock test, valid under s.mu: a real
 // wakeup can only be produced by a task currently executing its step
-// (barrier completion, lock release, point-to-point put) or by an
-// external World.Fail, which itself makes tasks ready under mu. So if
-// nothing is running and nothing is ready while PEs remain unfinished,
-// no wakeup can ever arrive.
+// (barrier completion, lock release) or by an external World.Fail, which
+// itself makes tasks ready under mu. So if nothing is running and nothing
+// is ready while PEs remain unfinished, no wakeup can ever arrive.
 func (s *scheduler) deadlockedLocked() bool {
 	return s.nRunning == 0 && s.nReady == 0 && s.nDone < s.w.n
 }
 
-// unpark delivers a wakeup to t. done=false marks an intermediate wake
-// (a dissemination-barrier round token): the resumed operation re-enters
-// its wait loop instead of completing. Callers must not hold any wait-
-// structure lock that the woken task's next step could need — the
-// convention is: mutate the structure, unlock it, then unpark.
-func (s *scheduler) unpark(t *peTask, err error, done bool) {
+// unpark delivers a wakeup to t on behalf of peTask.unpark.
+func (s *scheduler) unpark(t *peTask, err error) {
 	s.mu.Lock()
 	if t.state == taskDone {
 		s.mu.Unlock()
@@ -322,7 +307,6 @@ func (s *scheduler) unpark(t *peTask, err error, done bool) {
 	t.wake.complete = true
 	t.wake.deliver = true
 	t.wake.err = err
-	t.wake.done = done
 	if t.state != taskParked {
 		// Ready (queued, possibly spuriously) or still unwinding toward
 		// its park: the worker handling it observes the completed wake

@@ -77,33 +77,31 @@ func countingStep(iters int, got *atomic.Int64) func(pe *PE) func() error {
 }
 
 func TestRunScheduledLockCounting(t *testing.T) {
-	for _, alg := range []BarrierAlg{BarrierCentral, BarrierDissemination} {
-		for _, workers := range []int{1, 2, 4} {
-			const np, iters = 32, 5
-			w, err := NewWorld(np, []SymbolSpec{{Name: "ctr"}}, 1, Options{Barrier: alg})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got atomic.Int64
-			if err := w.RunScheduled(workers, countingStep(iters, &got)); err != nil {
-				t.Fatalf("%v workers=%d: %v", alg, workers, err)
-			}
-			if got.Load() != np*iters {
-				t.Fatalf("%v workers=%d: counter = %d, want %d", alg, workers, got.Load(), np*iters)
-			}
-			s := w.Stats().Sched
-			if s.Mode != "workers" {
-				t.Fatalf("sched mode = %q, want workers", s.Mode)
-			}
-			if s.Parked != 0 || s.Ready != 0 || s.Running != 0 {
-				t.Fatalf("%v workers=%d: gauges not drained: %+v", alg, workers, s)
-			}
-			if s.Parks != s.Unparks {
-				t.Fatalf("%v workers=%d: parks %d != unparks %d", alg, workers, s.Parks, s.Unparks)
-			}
-			if s.MaxRunning > workers {
-				t.Fatalf("%v workers=%d: max running %d exceeds pool", alg, workers, s.MaxRunning)
-			}
+	for _, workers := range []int{1, 2, 4} {
+		const np, iters = 32, 5
+		w, err := NewWorld(np, []SymbolSpec{{Name: "ctr"}}, 1, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got atomic.Int64
+		if err := w.RunScheduled(workers, countingStep(iters, &got)); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if got.Load() != np*iters {
+			t.Fatalf("workers=%d: counter = %d, want %d", workers, got.Load(), np*iters)
+		}
+		s := w.Stats().Sched
+		if s.Mode != "workers" {
+			t.Fatalf("sched mode = %q, want workers", s.Mode)
+		}
+		if s.Parked != 0 || s.Ready != 0 || s.Running != 0 {
+			t.Fatalf("workers=%d: gauges not drained: %+v", workers, s)
+		}
+		if s.Parks != s.Unparks {
+			t.Fatalf("workers=%d: parks %d != unparks %d", workers, s.Parks, s.Unparks)
+		}
+		if s.MaxRunning > workers {
+			t.Fatalf("workers=%d: max running %d exceeds pool", workers, s.MaxRunning)
 		}
 	}
 }
@@ -119,7 +117,7 @@ func TestRunScheduledSpuriousUnpark(t *testing.T) {
 		t.Fatal(err)
 	}
 	const np, iters = 16, 4
-	w, err := NewWorld(np, []SymbolSpec{{Name: "ctr"}}, 1, Options{Barrier: BarrierDissemination})
+	w, err := NewWorld(np, []SymbolSpec{{Name: "ctr"}}, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,36 +142,33 @@ func TestRunScheduledSpuriousUnpark(t *testing.T) {
 }
 
 // TestRunScheduledWakeReleasesParkedWaiters is the centralBarrier.wake
-// audit: a parked (not goroutine-blocked) waiter holds no goroutine to
-// observe the condition broadcast, so a failing world must unpark it
-// explicitly or the run never terminates. Exercised for both barrier
-// algorithms: PE 0 fails before arriving, everyone else is parked.
+// audit: a parked waiter holds no goroutine of its own, so a failing
+// world must unpark it explicitly or the run never terminates. PE 3
+// fails before arriving, everyone else is parked.
 func TestRunScheduledWakeReleasesParkedWaiters(t *testing.T) {
 	boom := errors.New("boom")
-	for _, alg := range []BarrierAlg{BarrierCentral, BarrierDissemination} {
-		w, err := NewWorld(4, nil, 0, Options{Barrier: alg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// One worker pops tasks in PE order, so PEs 0..2 are parked in the
-		// barrier before PE 3 fails — the drain is genuinely exercised.
-		err = w.RunScheduled(1, func(pe *PE) func() error {
-			return func() error {
-				if pe.ID() == 3 {
-					return boom
-				}
-				return pe.Barrier()
+	w, err := NewWorld(4, nil, 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One worker pops tasks in PE order, so PEs 0..2 are parked in the
+	// barrier before PE 3 fails — the drain is genuinely exercised.
+	err = w.RunScheduled(1, func(pe *PE) func() error {
+		return func() error {
+			if pe.ID() == 3 {
+				return boom
 			}
-		})
-		if !errors.Is(err, boom) {
-			t.Fatalf("%v: want PE 3's error, got %v", alg, err)
+			return pe.Barrier()
 		}
-		if !strings.Contains(err.Error(), "PE 3") {
-			t.Fatalf("%v: error not attributed to PE 3: %v", alg, err)
-		}
-		if s := w.Stats().Sched; s.Parked != 0 || s.Ready != 0 || s.Running != 0 {
-			t.Fatalf("%v: gauges not drained after teardown: %+v", alg, s)
-		}
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("want PE 3's error, got %v", err)
+	}
+	if !strings.Contains(err.Error(), "PE 3") {
+		t.Fatalf("error not attributed to PE 3: %v", err)
+	}
+	if s := w.Stats().Sched; s.Parked != 0 || s.Ready != 0 || s.Running != 0 {
+		t.Fatalf("gauges not drained after teardown: %+v", s)
 	}
 }
 
@@ -202,27 +197,28 @@ func TestRunScheduledDeadlockDetected(t *testing.T) {
 	}
 }
 
-// TestRunScheduledWaitUntilYields: a point-to-point wait under the
-// scheduler polls by yielding, so a single worker can interleave the
-// waiter (PE 0) with the putter (PE 1) instead of pinning the pool.
+// TestRunScheduledWaitUntilYields: a step that polls for a peer's Put
+// by returning SuspendYield goes back on the run queue, so a single
+// worker can interleave the waiter (PE 0, which runs first and finds the
+// slot still NOOB) with the putter (PE 1) instead of pinning the pool.
 func TestRunScheduledWaitUntilYields(t *testing.T) {
 	w, err := NewWorld(2, []SymbolSpec{{Name: "flag"}}, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	err = w.RunScheduled(1, func(pe *PE) func() error {
-		initialized := false
 		return func() error {
-			if pe.ID() == 0 {
-				if !initialized {
-					initialized = true
-					if err := pe.InitScalar(0, value.NewNumbr(0)); err != nil {
-						return err
-					}
-				}
-				return pe.WaitUntilNumbr(0, WaitEq, 1)
+			if pe.ID() == 1 {
+				return pe.Put(0, 0, value.NewNumbr(1))
 			}
-			return pe.Put(0, 0, value.NewNumbr(1))
+			v, err := pe.LocalGet(0)
+			if err != nil {
+				return err
+			}
+			if v.Numbr() != 1 {
+				return SuspendYield()
+			}
+			return nil
 		}
 	})
 	if err != nil {
@@ -230,21 +226,5 @@ func TestRunScheduledWaitUntilYields(t *testing.T) {
 	}
 	if s := w.Stats().Sched; s.Yields == 0 {
 		t.Fatalf("waiter never yielded: %+v", s)
-	}
-}
-
-// TestRunScheduledCollectivesRejected: Broadcast/Reduce are multi-barrier
-// composites whose bodies cannot honor the re-invocation contract; under
-// the scheduler they must fail loudly instead of corrupting the run.
-func TestRunScheduledCollectivesRejected(t *testing.T) {
-	w, err := NewWorld(2, []SymbolSpec{{Name: "v"}}, 0, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = w.RunScheduled(1, func(pe *PE) func() error {
-		return func() error { return pe.Broadcast(0, 0) }
-	})
-	if err == nil || !strings.Contains(err.Error(), "worker scheduler") {
-		t.Fatalf("want a park-safety error, got %v", err)
 	}
 }

@@ -54,51 +54,41 @@ func TestPutGetScalar(t *testing.T) {
 // TestBarrierSafety checks the fundamental barrier invariant: no PE exits
 // barrier episode k before every PE has entered it.
 func TestBarrierSafety(t *testing.T) {
-	for _, alg := range []BarrierAlg{BarrierCentral, BarrierDissemination} {
-		alg := alg
-		t.Run(alg.String(), func(t *testing.T) {
-			const n, episodes = 8, 200
-			w := newTestWorld(t, n, nil, 0, Options{Barrier: alg})
-			var entered [episodes]atomic.Int64
-			err := w.Run(func(pe *PE) error {
-				for k := 0; k < episodes; k++ {
-					entered[k].Add(1)
-					if err := pe.Barrier(); err != nil {
-						return err
-					}
-					if got := entered[k].Load(); got != n {
-						t.Errorf("PE %d exited episode %d with %d/%d entries", pe.ID(), k, got, n)
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
+	const n, episodes = 8, 200
+	w := newTestWorld(t, n, nil, 0, Options{})
+	var entered [episodes]atomic.Int64
+	err := w.Run(func(pe *PE) error {
+		for k := 0; k < episodes; k++ {
+			entered[k].Add(1)
+			if err := pe.Barrier(); err != nil {
+				return err
 			}
-		})
+			if got := entered[k].Load(); got != n {
+				t.Errorf("PE %d exited episode %d with %d/%d entries", pe.ID(), k, got, n)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestBarrierReleasesOnFailure checks that a failing PE does not leave the
 // others blocked forever at HUGZ.
 func TestBarrierReleasesOnFailure(t *testing.T) {
-	for _, alg := range []BarrierAlg{BarrierCentral, BarrierDissemination} {
-		alg := alg
-		t.Run(alg.String(), func(t *testing.T) {
-			w := newTestWorld(t, 4, nil, 0, Options{Barrier: alg})
-			err := w.Run(func(pe *PE) error {
-				if pe.ID() == 2 {
-					return errStub
-				}
-				return pe.Barrier()
-			})
-			if err == nil {
-				t.Fatal("expected failure to propagate")
-			}
-			if !strings.Contains(err.Error(), "stub") {
-				t.Errorf("error %v does not mention the root cause", err)
-			}
-		})
+	w := newTestWorld(t, 4, nil, 0, Options{})
+	err := w.Run(func(pe *PE) error {
+		if pe.ID() == 2 {
+			return errStub
+		}
+		return pe.Barrier()
+	})
+	if err == nil {
+		t.Fatal("expected failure to propagate")
+	}
+	if !strings.Contains(err.Error(), "stub") {
+		t.Errorf("error %v does not mention the root cause", err)
 	}
 }
 
@@ -266,110 +256,5 @@ func TestRemoteAccessBeforeAllocationDiagnosed(t *testing.T) {
 	// PE 1 never allocates, so PE 0 must get the teaching diagnostic.
 	if err == nil || !strings.Contains(err.Error(), "not allocated") {
 		t.Fatalf("want allocation diagnostic, got %v", err)
-	}
-}
-
-func TestFetchAdd(t *testing.T) {
-	syms := []SymbolSpec{{Name: "ctr"}}
-	const n, iters = 8, 50
-	w := newTestWorld(t, n, syms, 0, Options{})
-	err := w.Run(func(pe *PE) error {
-		if err := pe.InitScalar(0, value.NewNumbr(0)); err != nil {
-			return err
-		}
-		if err := pe.Barrier(); err != nil {
-			return err
-		}
-		for i := 0; i < iters; i++ {
-			if _, err := pe.FetchAddNumbr(0, 0, 1); err != nil {
-				return err
-			}
-		}
-		if err := pe.Barrier(); err != nil {
-			return err
-		}
-		v, err := pe.Get(0, 0)
-		if err != nil {
-			return err
-		}
-		if v.Numbr() != n*iters {
-			t.Errorf("counter = %d, want %d", v.Numbr(), n*iters)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReduceSum(t *testing.T) {
-	syms := []SymbolSpec{{Name: "v"}}
-	const n = 6
-	w := newTestWorld(t, n, syms, 0, Options{})
-	err := w.Run(func(pe *PE) error {
-		if err := pe.InitScalar(0, value.NewNumbr(int64(pe.ID()+1))); err != nil {
-			return err
-		}
-		if err := pe.Reduce(0, ReduceSum); err != nil {
-			return err
-		}
-		v, err := pe.LocalGet(0)
-		if err != nil {
-			return err
-		}
-		if want := int64(n * (n + 1) / 2); v.Numbr() != want {
-			t.Errorf("PE %d reduce sum = %d, want %d", pe.ID(), v.Numbr(), want)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWaitUntil(t *testing.T) {
-	syms := []SymbolSpec{{Name: "flag"}}
-	w := newTestWorld(t, 2, syms, 0, Options{})
-	err := w.Run(func(pe *PE) error {
-		if err := pe.InitScalar(0, value.NewNumbr(0)); err != nil {
-			return err
-		}
-		if err := pe.Barrier(); err != nil {
-			return err
-		}
-		if pe.ID() == 0 {
-			return pe.Put(1, 0, value.NewNumbr(42))
-		}
-		if err := pe.WaitUntilNumbr(0, WaitEq, 42); err != nil {
-			return err
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBroadcast(t *testing.T) {
-	syms := []SymbolSpec{{Name: "v"}}
-	w := newTestWorld(t, 5, syms, 0, Options{})
-	err := w.Run(func(pe *PE) error {
-		if err := pe.InitScalar(0, value.NewNumbr(int64(pe.ID()))); err != nil {
-			return err
-		}
-		if err := pe.Broadcast(3, 0); err != nil {
-			return err
-		}
-		v, err := pe.LocalGet(0)
-		if err != nil {
-			return err
-		}
-		if v.Numbr() != 3 {
-			t.Errorf("PE %d broadcast value = %d, want 3", pe.ID(), v.Numbr())
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

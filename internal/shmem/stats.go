@@ -12,7 +12,6 @@ type Stats struct {
 	Barriers      atomic.Int64
 	LockAcquires  atomic.Int64
 	LockContended atomic.Int64
-	Atomics       atomic.Int64
 }
 
 // StatsSnapshot is an immutable copy of Stats, plus the worker-scheduler
@@ -25,7 +24,6 @@ type StatsSnapshot struct {
 	Barriers      int64
 	LockAcquires  int64
 	LockContended int64
-	Atomics       int64
 	Sched         SchedSnapshot
 }
 
@@ -38,7 +36,6 @@ func (s *Stats) snapshot() StatsSnapshot {
 		Barriers:      s.Barriers.Load(),
 		LockAcquires:  s.LockAcquires.Load(),
 		LockContended: s.LockContended.Load(),
-		Atomics:       s.Atomics.Load(),
 	}
 }
 

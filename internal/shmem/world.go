@@ -1,8 +1,7 @@
 // Package shmem is a from-scratch PGAS runtime in the spirit of the minimal
 // OpenSHMEM subset the paper builds on: SPMD execution over N processing
-// elements (PEs), symmetric memory, one-sided put/get, collective barriers,
-// global locks, and a handful of collectives and atomics that real
-// OpenSHMEM backends use implicitly.
+// elements (PEs), symmetric memory, one-sided put/get, collective barriers
+// and global locks.
 //
 // Symmetric memory is a per-PE heap of cells laid out identically on
 // every PE (the paper's Figure 1); a remote reference is a (pe, slot)
@@ -10,15 +9,19 @@
 // nanoseconds to the calling PE for every one-sided operation, so
 // programs report hardware-shaped timing without the hardware.
 //
-// A world executes in one of two modes. Under World.Run each PE is a
-// dedicated goroutine and blocking operations block it — simple, and the
-// differential oracle for everything else. Under World.RunScheduled each
-// PE is a resumable continuation multiplexed onto a bounded worker pool:
-// blocking operations return a *Suspend (see suspend.go) instead of
-// blocking, the scheduler parks the task, and the wait structures —
-// barriers, ticket locks — unpark it explicitly when satisfied. That is
-// what makes NP in the thousands affordable: a parked PE costs one small
-// struct, not a goroutine stack.
+// A world executes in one of two modes, which share every wait
+// structure and differ only in who waits on a parked task. A blocking
+// operation — barrier arrival, lock acquisition — registers the PE's task
+// with the barrier or ticket lock, which unparks it explicitly when
+// satisfied (see suspend.go). Under World.Run each PE is a dedicated
+// goroutine that waits on its task's wake channel and then re-invokes
+// the operation, so to the caller the operation simply blocks — simple,
+// and the differential oracle for everything else. Under
+// World.RunScheduled each PE is a resumable continuation multiplexed onto
+// a bounded worker pool: the operation returns a *Suspend instead, and
+// the scheduler parks the task and re-runs its step after the wakeup.
+// That is what makes NP in the thousands affordable: a parked PE costs
+// one small struct, not a goroutine stack.
 package shmem
 
 import (
@@ -57,30 +60,10 @@ type SymbolSpec struct {
 	Elem    value.Kind // element type for arrays; Noob for dynamic scalars
 }
 
-// BarrierAlg selects the barrier implementation.
-type BarrierAlg int
-
-const (
-	// BarrierCentral is a sense-reversing central barrier (mutex + cond).
-	BarrierCentral BarrierAlg = iota
-	// BarrierDissemination is a log2(n)-round dissemination barrier built
-	// on buffered channels.
-	BarrierDissemination
-)
-
-func (a BarrierAlg) String() string {
-	if a == BarrierDissemination {
-		return "dissemination"
-	}
-	return "central"
-}
-
 // Options configures a World.
 type Options struct {
 	// Model prices one-sided operations; nil means free.
 	Model CostModel
-	// Barrier selects the barrier algorithm.
-	Barrier BarrierAlg
 	// Seed is the base seed for per-PE deterministic RNG streams;
 	// PE i uses Seed + i.
 	Seed int64
@@ -107,15 +90,13 @@ type World struct {
 	symSizeMu sync.Mutex
 	symSize   []int // -1 = not yet allocated
 
-	locks []ticketLock
-
-	barrier barrier
+	locks   []ticketLock
+	barrier centralBarrier
 
 	model CostModel
 	opts  Options
 
 	failOnce sync.Once
-	failCh   chan struct{}
 	failErr  atomic.Value // error
 
 	// sched is non-nil iff this world runs under RunScheduled.
@@ -139,21 +120,15 @@ func NewWorld(n int, syms []SymbolSpec, nLocks int, opts Options) (*World, error
 		heaps:   make([][]cell, n),
 		symSize: make([]int, len(syms)),
 		locks:   make([]ticketLock, nLocks),
+		barrier: centralBarrier{n: n},
 		model:   opts.Model,
 		opts:    opts,
-		failCh:  make(chan struct{}),
 	}
 	for i := range w.symSize {
 		w.symSize[i] = -1
 	}
 	for pe := 0; pe < n; pe++ {
 		w.heaps[pe] = make([]cell, len(syms))
-	}
-	switch opts.Barrier {
-	case BarrierDissemination:
-		w.barrier = newDisseminationBarrier(n, w.failCh)
-	default:
-		w.barrier = newCentralBarrier(n)
 	}
 	return w, nil
 }
@@ -176,26 +151,23 @@ func (w *World) Stats() StatsSnapshot {
 	return s
 }
 
-// fail records the first failure and releases all blocked PEs — both
-// goroutines blocked in waits (they observe failCh or the barrier wake)
-// and tasks parked under the worker scheduler (the wake paths unpark
-// them with ErrWorldFailed).
+// fail records the first failure and releases every parked PE: the wake
+// paths unpark each with ErrWorldFailed. The error is stored before the
+// drains; ticketLock.acquirePark relies on that order.
 func (w *World) fail(err error) {
 	w.failOnce.Do(func() {
 		w.failErr.Store(err)
-		close(w.failCh)
 		w.barrier.wake()
 		w.drainLockWaiters()
 	})
 }
 
 // Fail aborts the world cooperatively from outside the SPMD body: every PE
-// blocked in a barrier, lock acquisition, or point-to-point wait returns
-// ErrWorldFailed instead of blocking forever, and PEs that are still
-// computing tear down at their next blocking operation. Launchers use it
-// to implement cancellation (deadline hit, client disconnected) without
-// deadlocking peers in HUGZ. The first failure wins; later calls are
-// no-ops.
+// blocked in a barrier or lock acquisition returns ErrWorldFailed instead
+// of blocking forever, and PEs that are still computing tear down at
+// their next blocking operation. Launchers use it to implement
+// cancellation (deadline hit, client disconnected) without deadlocking
+// peers in HUGZ. The first failure wins; later calls are no-ops.
 func (w *World) Fail(err error) {
 	if err == nil {
 		err = ErrWorldFailed
@@ -221,13 +193,11 @@ type PE struct {
 	w   *World
 	rng *rand.Rand
 
-	// task is non-nil under the worker scheduler; blocking operations
-	// then suspend instead of blocking. resume* is the wakeup payload
-	// staged by the scheduler before a parked task's step is re-invoked;
-	// the re-executed blocking operation consumes it (consumeResume).
+	// task is the PE's identity in wait structures. resume* is the
+	// wakeup payload staged before a parked operation is re-invoked; the
+	// re-executed operation consumes it (consumeResume).
 	task          *peTask
 	resumePending bool
-	resumeDone    bool
 	resumeErr     error
 
 	simNanos float64 // simulated time consumed by this PE
@@ -237,12 +207,12 @@ type PE struct {
 // consumeResume hands the staged wakeup payload to the blocking
 // operation being re-invoked after a park, clearing it so a later
 // blocking call on the same PE starts fresh.
-func (pe *PE) consumeResume() (pending bool, err error, done bool) {
+func (pe *PE) consumeResume() (pending bool, err error) {
 	if !pe.resumePending {
-		return false, nil, false
+		return false, nil
 	}
 	pe.resumePending = false
-	return true, pe.resumeErr, pe.resumeDone
+	return true, pe.resumeErr
 }
 
 // ID returns this PE's rank, 0..N-1 (the paper's ME).
@@ -267,14 +237,15 @@ func (pe *PE) PEStats() PEStats { return pe.stats }
 func (pe *PE) charge(nanos float64) { pe.simNanos += nanos }
 
 // Run executes body once per PE in its own goroutine and waits for all of
-// them. The first error (or panic, converted to an error) aborts blocked
-// collectives on other PEs; Run returns the joined errors.
+// them. The first error (or panic, converted to an error) releases PEs
+// blocked in barriers and locks; Run returns the joined errors.
 func (w *World) Run(body func(pe *PE) error) error {
 	errs := make([]error, w.n)
 	var wg sync.WaitGroup
 	wg.Add(w.n)
 	for id := 0; id < w.n; id++ {
 		pe := &PE{id: id, w: w, rng: rand.New(rand.NewSource(w.opts.Seed + int64(id)))}
+		pe.task = &peTask{pe: pe, wakeCh: make(chan error, 1)}
 		go func(pe *PE) {
 			defer wg.Done()
 			defer func() {
@@ -296,41 +267,19 @@ func (w *World) Run(body func(pe *PE) error) error {
 
 // Barrier is the collective barrier (the paper's HUGZ). Every PE must call
 // it before any PE continues. Under the worker scheduler it may return a
-// *Suspend; the re-invocation after the wakeup completes it.
+// *Suspend; the re-invocation after the wakeup completes it. The
+// cost-model charge and the counters apply once, on arrival.
 func (pe *PE) Barrier() error {
-	if pe.task != nil {
-		return pe.barrierScheduled()
-	}
-	pe.charge(pe.w.model.BarrierNanos(pe.w.n))
-	pe.w.stats.Barriers.Add(1)
-	pe.stats.Barriers++
-	err := pe.w.barrier.wait(pe.id, pe.w)
-	if err == nil {
-		pe.trace(EvBarrier, -1, -1, 0)
-	}
-	return err
-}
-
-// barrierScheduled is Barrier under the worker scheduler. The cost-model
-// charge and the counters apply once, on first arrival; a resume with
-// done=false (an intermediate dissemination round token) re-enters
-// arrive without re-charging.
-func (pe *PE) barrierScheduled() error {
-	pending, rerr, done := pe.consumeResume()
-	if pending {
-		if rerr != nil {
-			return rerr
-		}
-		if done {
-			pe.trace(EvBarrier, -1, -1, 0)
-			return nil
-		}
-	} else {
+	pending, err := pe.consumeResume()
+	if !pending {
 		pe.charge(pe.w.model.BarrierNanos(pe.w.n))
 		pe.w.stats.Barriers.Add(1)
 		pe.stats.Barriers++
+		err = pe.w.barrier.arrive(pe.task)
 	}
-	err := pe.w.barrier.arrive(pe.task)
+	if err == suspendPark {
+		return pe.park(pe.Barrier)
+	}
 	if err == nil {
 		pe.trace(EvBarrier, -1, -1, 0)
 	}
