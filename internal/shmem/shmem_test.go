@@ -52,44 +52,49 @@ func TestPutGetScalar(t *testing.T) {
 }
 
 // TestBarrierSafety checks the fundamental barrier invariant: no PE exits
-// barrier episode k before every PE has entered it.
+// barrier episode k before every PE has entered it. The subtest is named
+// after the central counting barrier, the one barrier the world uses.
 func TestBarrierSafety(t *testing.T) {
-	const n, episodes = 8, 200
-	w := newTestWorld(t, n, nil, 0, Options{})
-	var entered [episodes]atomic.Int64
-	err := w.Run(func(pe *PE) error {
-		for k := 0; k < episodes; k++ {
-			entered[k].Add(1)
-			if err := pe.Barrier(); err != nil {
-				return err
+	t.Run("central", func(t *testing.T) {
+		const n, episodes = 8, 200
+		w := newTestWorld(t, n, nil, 0, Options{})
+		var entered [episodes]atomic.Int64
+		err := w.Run(func(pe *PE) error {
+			for k := 0; k < episodes; k++ {
+				entered[k].Add(1)
+				if err := pe.Barrier(); err != nil {
+					return err
+				}
+				if got := entered[k].Load(); got != n {
+					t.Errorf("PE %d exited episode %d with %d/%d entries", pe.ID(), k, got, n)
+				}
 			}
-			if got := entered[k].Load(); got != n {
-				t.Errorf("PE %d exited episode %d with %d/%d entries", pe.ID(), k, got, n)
-			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestBarrierReleasesOnFailure checks that a failing PE does not leave the
 // others blocked forever at HUGZ.
 func TestBarrierReleasesOnFailure(t *testing.T) {
-	w := newTestWorld(t, 4, nil, 0, Options{})
-	err := w.Run(func(pe *PE) error {
-		if pe.ID() == 2 {
-			return errStub
+	t.Run("central", func(t *testing.T) {
+		w := newTestWorld(t, 4, nil, 0, Options{})
+		err := w.Run(func(pe *PE) error {
+			if pe.ID() == 2 {
+				return errStub
+			}
+			return pe.Barrier()
+		})
+		if err == nil {
+			t.Fatal("expected failure to propagate")
 		}
-		return pe.Barrier()
+		if !strings.Contains(err.Error(), "stub") {
+			t.Errorf("error %v does not mention the root cause", err)
+		}
 	})
-	if err == nil {
-		t.Fatal("expected failure to propagate")
-	}
-	if !strings.Contains(err.Error(), "stub") {
-		t.Errorf("error %v does not mention the root cause", err)
-	}
 }
 
 var errStub = &stubErr{}
