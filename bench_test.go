@@ -169,6 +169,41 @@ func BenchmarkT2_RemoteGet(b *testing.B) {
 	}
 }
 
+// BenchmarkT2_ElemGetShared reads shared NUMBAR elements from both PEs at
+// once, as nbody's force phase does: each PE reads its own array through
+// LocalGetElem and its peer's through GetElem. One op is one local plus
+// one remote get.
+func BenchmarkT2_ElemGetShared(b *testing.B) {
+	const size = 64
+	syms := []shmem.SymbolSpec{{Name: "pos", IsArray: true, Elem: value.Numbar}}
+	world, err := shmem.NewWorld(2, syms, 0, shmem.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	err = world.Run(func(pe *shmem.PE) error {
+		if err := pe.AllocArray(0, size); err != nil {
+			return err
+		}
+		if err := pe.Barrier(); err != nil {
+			return err
+		}
+		peer := 1 - pe.ID()
+		for i := 0; i < b.N; i++ {
+			if _, err := pe.LocalGetElem(0, i%size); err != nil {
+				return err
+			}
+			if _, err := pe.GetElem(peer, 0, i%size); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
 func BenchmarkT2_LockUncontended(b *testing.B) {
 	world, err := shmem.NewWorld(1, nil, 1, shmem.Options{})
 	if err != nil {

@@ -365,8 +365,8 @@ func (c *compiler) floatVar(n *ast.VarRef) (floatFn, bool) {
 }
 
 // floatIndex compiles typed-array element reads: private NUMBAR/NUMBR
-// arrays read straight from the backing slice; local shared arrays go
-// through LocalArray once per access.
+// arrays read straight from the backing slice; shared arrays go through
+// GetElem or LocalGetElem once per access.
 func (c *compiler) floatIndex(n *ast.Index) (floatFn, bool) {
 	sym, err := c.resolve(n.Arr)
 	if err != nil || !sym.IsArray || !isNumericKind(sym.Type) {
@@ -436,8 +436,8 @@ func (c *compiler) floatIndex(n *ast.Index) (floatFn, bool) {
 			}
 			return v.ToNumbar()
 		}
-		// Local shared elements go through the locked accessor so
-		// concurrent remote traffic never observes torn values.
+		// Local shared elements go through the heap's atomic element
+		// read so concurrent remote traffic never observes torn values.
 		v, err := e.pe.LocalGetElem(heap, int(i))
 		if err != nil {
 			return 0, rerr(pos, err)

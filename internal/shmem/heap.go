@@ -3,21 +3,53 @@ package shmem
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/value"
 )
 
 // cell is one slot of a PE's symmetric heap: either a scalar value or a
-// typed array. The mutex makes single-element remote operations atomic, the
-// granularity real one-sided hardware gives for word-sized transfers.
+// typed array. Single-element operations are atomic, the granularity real
+// one-sided hardware gives for word-sized transfers. Word elements (NUMBR,
+// NUMBAR) use atomic loads and stores: a read takes no lock, only an
+// atomic load of arr and then of the element. Everything else uses the
+// mutex, which every writer holds, re-loading arr under it so no put lands
+// in a replaced instance. A published word array never changes length,
+// since lock-free readers index it: a PutArray of another length
+// publishes a new instance.
 type cell struct {
 	mu  sync.Mutex
 	v   value.Value
-	arr *value.Array
+	arr atomic.Pointer[value.Array]
 }
 
 func (c *cell) lock()   { c.mu.Lock() }
 func (c *cell) unlock() { c.mu.Unlock() }
+
+// getElem reads element index; arr is the caller's load of c.arr.
+func (c *cell) getElem(arr *value.Array, index int) (value.Value, error) {
+	if arr.WordElems() {
+		return arr.LoadWord(index)
+	}
+	c.lock()
+	v, err := c.arr.Load().GetChecked(index)
+	c.unlock()
+	return v, err
+}
+
+// setElem writes element index of the current instance.
+func (c *cell) setElem(index int, v value.Value) error {
+	c.lock()
+	arr := c.arr.Load()
+	var err error
+	if arr.WordElems() {
+		err = arr.StoreWord(index, v)
+	} else {
+		err = arr.Set(index, v)
+	}
+	c.unlock()
+	return err
+}
 
 // valueBytes approximates the wire size of a scalar for cost accounting.
 func valueBytes(v value.Value) int {
@@ -91,7 +123,7 @@ func (pe *PE) AllocArray(slot, size int) error {
 	}
 	c := w.cellAt(pe.id, slot)
 	c.lock()
-	c.arr = arr
+	c.arr.Store(arr)
 	c.unlock()
 	return nil
 }
@@ -109,6 +141,26 @@ func (pe *PE) InitScalar(slot int, v value.Value) error {
 	return nil
 }
 
+// accountPut charges, counts and traces one put of nbytes to target.
+func (pe *PE) accountPut(target, slot, nbytes int) {
+	pe.charge(pe.w.model.PutNanos(pe.id, target, nbytes))
+	if target != pe.id {
+		pe.stats.RemotePuts++
+		pe.stats.PutBytes += int64(nbytes)
+	}
+	pe.trace(EvPut, target, slot, nbytes)
+}
+
+// accountGet charges, counts and traces one get of nbytes from target.
+func (pe *PE) accountGet(target, slot, nbytes int) {
+	pe.charge(pe.w.model.GetNanos(pe.id, target, nbytes))
+	if target != pe.id {
+		pe.stats.RemoteGets++
+		pe.stats.GetBytes += int64(nbytes)
+	}
+	pe.trace(EvGet, target, slot, nbytes)
+}
+
 // Put writes a scalar into target's instance of slot (one-sided write).
 func (pe *PE) Put(target, slot int, v value.Value) error {
 	w := pe.w
@@ -118,14 +170,7 @@ func (pe *PE) Put(target, slot int, v value.Value) error {
 	if err := w.checkSlot(slot); err != nil {
 		return err
 	}
-	nbytes := valueBytes(v)
-	pe.charge(w.model.PutNanos(pe.id, target, nbytes))
-	if target != pe.id {
-		w.stats.RemotePuts.Add(1)
-		w.stats.PutBytes.Add(int64(nbytes))
-		pe.stats.RemotePuts++
-	}
-	pe.trace(EvPut, target, slot, nbytes)
+	pe.accountPut(target, slot, valueBytes(v))
 	c := w.cellAt(target, slot)
 	c.lock()
 	c.v = v
@@ -146,22 +191,13 @@ func (pe *PE) Get(target, slot int) (value.Value, error) {
 	c.lock()
 	v := c.v
 	c.unlock()
-	nbytes := valueBytes(v)
-	pe.charge(w.model.GetNanos(pe.id, target, nbytes))
-	if target != pe.id {
-		w.stats.RemoteGets.Add(1)
-		w.stats.GetBytes.Add(int64(nbytes))
-		pe.stats.RemoteGets++
-	}
-	pe.trace(EvGet, target, slot, nbytes)
+	pe.accountGet(target, slot, valueBytes(v))
 	return v, nil
 }
 
 func (w *World) arrayAt(pe, slot int) (*cell, *value.Array, error) {
 	c := w.cellAt(pe, slot)
-	c.lock()
-	arr := c.arr
-	c.unlock()
+	arr := c.arr.Load()
 	if arr == nil {
 		return nil, nil, fmt.Errorf(
 			"shmem: PE %d's array %s is not allocated yet (did the program reach its WE HAS A, or is a HUGZ missing?)",
@@ -183,18 +219,8 @@ func (pe *PE) PutElem(target, slot, index int, v value.Value) error {
 	if err != nil {
 		return err
 	}
-	nbytes := elemBytes(arr.Elem())
-	pe.charge(w.model.PutNanos(pe.id, target, nbytes))
-	if target != pe.id {
-		w.stats.RemotePuts.Add(1)
-		w.stats.PutBytes.Add(int64(nbytes))
-		pe.stats.RemotePuts++
-	}
-	pe.trace(EvPut, target, slot, nbytes)
-	c.lock()
-	err = arr.Set(index, v)
-	c.unlock()
-	return err
+	pe.accountPut(target, slot, elemBytes(arr.Elem()))
+	return c.setElem(index, v)
 }
 
 // GetElem reads one array element from target's instance of slot.
@@ -210,18 +236,8 @@ func (pe *PE) GetElem(target, slot, index int) (value.Value, error) {
 	if err != nil {
 		return value.NOOB, err
 	}
-	nbytes := elemBytes(arr.Elem())
-	pe.charge(w.model.GetNanos(pe.id, target, nbytes))
-	if target != pe.id {
-		w.stats.RemoteGets.Add(1)
-		w.stats.GetBytes.Add(int64(nbytes))
-		pe.stats.RemoteGets++
-	}
-	pe.trace(EvGet, target, slot, nbytes)
-	c.lock()
-	v, err := arr.GetChecked(index)
-	c.unlock()
-	return v, err
+	pe.accountGet(target, slot, elemBytes(arr.Elem()))
+	return c.getElem(arr, index)
 }
 
 // GetArray reads a deep copy of target's whole array instance (the paper's
@@ -234,21 +250,14 @@ func (pe *PE) GetArray(target, slot int) (*value.Array, error) {
 	if err := w.checkSlot(slot); err != nil {
 		return nil, err
 	}
-	c, arr, err := w.arrayAt(target, slot)
+	c, _, err := w.arrayAt(target, slot)
 	if err != nil {
 		return nil, err
 	}
 	c.lock()
-	cp := arr.Clone()
+	cp := c.arr.Load().Clone()
 	c.unlock()
-	nbytes := cp.Len() * elemBytes(cp.Elem())
-	pe.charge(w.model.GetNanos(pe.id, target, nbytes))
-	if target != pe.id {
-		w.stats.RemoteGets.Add(1)
-		w.stats.GetBytes.Add(int64(nbytes))
-		pe.stats.RemoteGets++
-	}
-	pe.trace(EvGet, target, slot, nbytes)
+	pe.accountGet(target, slot, cp.Len()*elemBytes(cp.Elem()))
 	return cp, nil
 }
 
@@ -261,40 +270,31 @@ func (pe *PE) PutArray(target, slot int, src *value.Array) error {
 	if err := w.checkSlot(slot); err != nil {
 		return err
 	}
-	c, arr, err := w.arrayAt(target, slot)
+	c, _, err := w.arrayAt(target, slot)
 	if err != nil {
 		return err
 	}
-	nbytes := src.Len() * elemBytes(src.Elem())
-	pe.charge(w.model.PutNanos(pe.id, target, nbytes))
-	if target != pe.id {
-		w.stats.RemotePuts.Add(1)
-		w.stats.PutBytes.Add(int64(nbytes))
-		pe.stats.RemotePuts++
-	}
-	pe.trace(EvPut, target, slot, nbytes)
+	pe.accountPut(target, slot, src.Len()*elemBytes(src.Elem()))
 	c.lock()
-	err = arr.CopyFrom(src)
+	switch arr := c.arr.Load(); {
+	case arr.Elem() == src.Elem() && arr.Len() != src.Len():
+		// Publish rather than resize; see cell.
+		c.arr.Store(src.Clone())
+	case arr.WordElems():
+		err = arr.CopyWords(src)
+	default:
+		err = arr.CopyFrom(src)
+	}
 	c.unlock()
 	return err
 }
 
-// LocalArray returns this PE's own array instance as a direct, unlocked
-// view. Access through the view is not synchronized against concurrent
-// remote PutElem/GetElem from other PEs; use LocalGetElem/LocalSetElem for
-// element access that must coexist with remote traffic.
-func (pe *PE) LocalArray(slot int) (*value.Array, error) {
-	if err := pe.w.checkSlot(slot); err != nil {
-		return nil, err
-	}
-	_, arr, err := pe.w.arrayAt(pe.id, slot)
-	return arr, err
-}
-
-// LocalGetElem reads one element of this PE's own array instance under the
-// cell lock (zero simulated cost). This is the element-read path the
-// language backends use so that even a racy program (one that skips HUGZ)
-// sees whole values rather than torn ones.
+// LocalGetElem reads one element of this PE's own array instance (zero
+// simulated cost). It is the element-read path the language backends use,
+// and like GetElem it is atomic per element, so even a racy program (one
+// that skips HUGZ) sees whole values rather than torn ones: a NUMBR or
+// NUMBAR element is one atomic load without the cell mutex, any other
+// element is read under it.
 func (pe *PE) LocalGetElem(slot, index int) (value.Value, error) {
 	if err := pe.w.checkSlot(slot); err != nil {
 		return value.NOOB, err
@@ -303,10 +303,7 @@ func (pe *PE) LocalGetElem(slot, index int) (value.Value, error) {
 	if err != nil {
 		return value.NOOB, err
 	}
-	c.lock()
-	v, err := arr.GetChecked(index)
-	c.unlock()
-	return v, err
+	return c.getElem(arr, index)
 }
 
 // LocalSetElem writes one element of this PE's own array instance under
@@ -315,14 +312,11 @@ func (pe *PE) LocalSetElem(slot, index int, v value.Value) error {
 	if err := pe.w.checkSlot(slot); err != nil {
 		return err
 	}
-	c, arr, err := pe.w.arrayAt(pe.id, slot)
+	c, _, err := pe.w.arrayAt(pe.id, slot)
 	if err != nil {
 		return err
 	}
-	c.lock()
-	err = arr.Set(index, v)
-	c.unlock()
-	return err
+	return c.setElem(index, v)
 }
 
 // LocalGet reads this PE's own scalar instance without cost.

@@ -127,7 +127,7 @@ func (pe *PE) SetLock(id int) error {
 	if !pending {
 		pe.charge(pe.w.model.LockNanos(pe.id, pe.w.lockHome(id)))
 		if l := &pe.w.locks[id]; !l.tryAcquire(pe.id) {
-			pe.w.stats.LockContended.Add(1)
+			pe.stats.LockContended++
 			err = l.acquirePark(pe.task)
 		}
 	}
@@ -137,7 +137,6 @@ func (pe *PE) SetLock(id int) error {
 	if err != nil {
 		return err
 	}
-	pe.w.stats.LockAcquires.Add(1)
 	pe.stats.LockAcquires++
 	pe.trace(EvLock, pe.w.lockHome(id), id, 0)
 	return nil
@@ -160,7 +159,6 @@ func (pe *PE) TestLock(id int) (bool, error) {
 	pe.charge(pe.w.model.LockNanos(pe.id, pe.w.lockHome(id)))
 	ok := pe.w.locks[id].tryAcquire(pe.id)
 	if ok {
-		pe.w.stats.LockAcquires.Add(1)
 		pe.stats.LockAcquires++
 	}
 	pe.trace(EvTryLock, pe.w.lockHome(id), id, 0)

@@ -3,7 +3,6 @@ package shmem
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 
@@ -144,8 +143,7 @@ func (w *World) RunScheduled(workers int, makeStep func(pe *PE) func() error) er
 	errs := make([]error, n)
 	steps := make([]func() error, n)
 	tasks := make([]*peTask, n)
-	for id := 0; id < n; id++ {
-		pe := &PE{id: id, w: w, rng: rand.New(rand.NewSource(w.opts.Seed + int64(id)))}
+	for id, pe := range w.newPEs() {
 		t := &peTask{pe: pe, sched: s, state: taskReady, wake: wakeState{complete: true}}
 		pe.task = t
 		tasks[id] = t

@@ -1,6 +1,7 @@
 package shmem
 
 import (
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -214,12 +215,8 @@ func TestArrayPutGet(t *testing.T) {
 		if err := pe.AllocArray(0, 8); err != nil {
 			return err
 		}
-		arr, err := pe.LocalArray(0)
-		if err != nil {
-			return err
-		}
 		for i := 0; i < 8; i++ {
-			if err := arr.Set(i, value.NewNumbar(float64(pe.ID()*100+i))); err != nil {
+			if err := pe.LocalSetElem(0, i, value.NewNumbar(float64(pe.ID()*100+i))); err != nil {
 				return err
 			}
 		}
@@ -242,6 +239,103 @@ func TestArrayPutGet(t *testing.T) {
 			t.Errorf("PE %d whole-array copy wrong: %v", pe.ID(), whole.Get(7))
 		}
 		return pe.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHeapWordsNeverTear runs element gets and puts, length-changing
+// PutArray and GetArray from every PE on one NUMBAR and one NUMBR array,
+// with no barrier after allocation: every value read must be one that
+// some PE wrote. Element reads take no lock, so under -race this also
+// fails if any element write is a plain store.
+func TestHeapWordsNeverTear(t *testing.T) {
+	const np, size, iters = 4, 8, 2000
+	syms := []SymbolSpec{
+		{Name: "f", IsArray: true, Elem: value.Numbar},
+		{Name: "n", IsArray: true, Elem: value.Numbr},
+	}
+	// word puts the writer and sequence number in both halves, the low
+	// one inverted, so a value mixed from two writes fails written.
+	word := func(pe, seq int) uint64 {
+		x := uint32(pe<<24 | seq)
+		return uint64(x)<<32 | uint64(^x)
+	}
+	written := func(w uint64) bool {
+		x := uint32(w >> 32)
+		return w == 0 || uint32(w) == ^x && int(x>>24) < np && int(x&(1<<24-1)) < iters
+	}
+	elem := func(slot int, w uint64) value.Value {
+		if syms[slot].Elem == value.Numbar {
+			return value.NewNumbar(math.Float64frombits(w))
+		}
+		return value.NewNumbr(int64(w))
+	}
+	bits := func(v value.Value) uint64 {
+		if v.Kind() == value.Numbar {
+			return math.Float64bits(v.Numbar())
+		}
+		return uint64(v.Numbr())
+	}
+
+	w := newTestWorld(t, np, syms, 0, Options{})
+	err := w.Run(func(pe *PE) error {
+		for slot := range syms {
+			if err := pe.AllocArray(slot, size); err != nil {
+				return err
+			}
+		}
+		if err := pe.Barrier(); err != nil {
+			return err
+		}
+		check := func(op string, v value.Value) {
+			if b := bits(v); !written(b) {
+				t.Errorf("PE %d: %s read %#x, which no PE wrote", pe.ID(), op, b)
+			}
+		}
+		for k := 0; k < iters; k++ {
+			slot, idx := k%len(syms), k%size
+			target := (pe.ID() + 1 + k/len(syms)) % np
+			if err := pe.PutElem(target, slot, idx, elem(slot, word(pe.ID(), k))); err != nil {
+				return err
+			}
+			v, err := pe.GetElem(target, slot, (idx+1)%size)
+			if err != nil {
+				return err
+			}
+			check("GetElem", v)
+			if v, err = pe.LocalGetElem(slot, (idx+2)%size); err != nil {
+				return err
+			}
+			check("LocalGetElem", v)
+			switch k % 32 {
+			case 0, 1: // one whole-array put per slot
+				// Lengths cycle through size..size+3, so indexes below
+				// size stay valid and most puts change the length.
+				src, err := value.NewArrayOf(syms[slot].Elem, size+k/32%4)
+				if err != nil {
+					return err
+				}
+				for i := 0; i < src.Len(); i++ {
+					if err := src.Set(i, elem(slot, word(pe.ID(), k))); err != nil {
+						return err
+					}
+				}
+				if err := pe.PutArray(target, slot, src); err != nil {
+					return err
+				}
+			case 16, 17:
+				arr, err := pe.GetArray(target, slot)
+				if err != nil {
+					return err
+				}
+				for i := 0; i < arr.Len(); i++ {
+					check("GetArray", arr.Get(i))
+				}
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,9 +5,11 @@
 //
 // Symmetric memory is a per-PE heap of cells laid out identically on
 // every PE (the paper's Figure 1); a remote reference is a (pe, slot)
-// pair. A pluggable cost model (see internal/machine) charges simulated
-// nanoseconds to the calling PE for every one-sided operation, so
-// programs report hardware-shaped timing without the hardware.
+// pair. As on one-sided hardware, reading a NUMBR or NUMBAR array element
+// is one atomic word load that takes no lock; every other access locks
+// the target cell. A pluggable cost model (see internal/machine) charges
+// simulated nanoseconds to the calling PE for every one-sided operation,
+// so programs report hardware-shaped timing without the hardware.
 //
 // A world executes in one of two modes, which share every wait
 // structure and differ only in who waits on a parked task. A blocking
@@ -102,7 +104,9 @@ type World struct {
 	// sched is non-nil iff this world runs under RunScheduled.
 	sched *scheduler
 
-	stats Stats
+	// pes are the PEs of the last Run or RunScheduled; Stats sums their
+	// counters.
+	pes []*PE
 }
 
 // NewWorld creates a world of n PEs with the given symmetric heap layout
@@ -142,13 +146,34 @@ func (w *World) Model() CostModel { return w.model }
 // Symbols returns the symmetric heap layout.
 func (w *World) Symbols() []SymbolSpec { return w.syms }
 
-// Stats returns a snapshot of the world's operation counters.
+// Stats returns the operation counters of the last Run or RunScheduled,
+// summed over its PEs. Each PE counts its own operations unsynchronized,
+// so call Stats only after the run has returned.
 func (w *World) Stats() StatsSnapshot {
-	s := w.stats.snapshot()
+	var s StatsSnapshot
+	for _, pe := range w.pes {
+		c := &pe.stats
+		s.RemotePuts += c.RemotePuts
+		s.RemoteGets += c.RemoteGets
+		s.PutBytes += c.PutBytes
+		s.GetBytes += c.GetBytes
+		s.Barriers += c.Barriers
+		s.LockAcquires += c.LockAcquires
+		s.LockContended += c.LockContended
+	}
 	if w.sched != nil {
 		s.Sched = w.sched.snapshot()
 	}
 	return s
+}
+
+// newPEs creates the PEs of a run and keeps them for Stats.
+func (w *World) newPEs() []*PE {
+	w.pes = make([]*PE, w.n)
+	for id := range w.pes {
+		w.pes[id] = &PE{id: id, w: w, rng: rand.New(rand.NewSource(w.opts.Seed + int64(id)))}
+	}
+	return w.pes
 }
 
 // fail records the first failure and releases every parked PE: the wake
@@ -231,9 +256,6 @@ func (pe *PE) Rand() *rand.Rand { return pe.rng }
 // world's cost model.
 func (pe *PE) SimNanos() float64 { return pe.simNanos }
 
-// PEStats returns this PE's operation counters.
-func (pe *PE) PEStats() PEStats { return pe.stats }
-
 func (pe *PE) charge(nanos float64) { pe.simNanos += nanos }
 
 // Run executes body once per PE in its own goroutine and waits for all of
@@ -243,8 +265,7 @@ func (w *World) Run(body func(pe *PE) error) error {
 	errs := make([]error, w.n)
 	var wg sync.WaitGroup
 	wg.Add(w.n)
-	for id := 0; id < w.n; id++ {
-		pe := &PE{id: id, w: w, rng: rand.New(rand.NewSource(w.opts.Seed + int64(id)))}
+	for _, pe := range w.newPEs() {
 		pe.task = &peTask{pe: pe, wakeCh: make(chan error, 1)}
 		go func(pe *PE) {
 			defer wg.Done()
@@ -273,7 +294,6 @@ func (pe *PE) Barrier() error {
 	pending, err := pe.consumeResume()
 	if !pending {
 		pe.charge(pe.w.model.BarrierNanos(pe.w.n))
-		pe.w.stats.Barriers.Add(1)
 		pe.stats.Barriers++
 		err = pe.w.barrier.arrive(pe.task)
 	}

@@ -1,6 +1,11 @@
 package value
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"sync/atomic"
+	"unsafe"
+)
 
 // Array is the paper's first-class array extension: a dynamically sized,
 // statically element-typed vector ("WE HAS A x ITZ SRSLY LOTZ A NUMBRS AN
@@ -204,3 +209,79 @@ func (a *Array) Yarns() []string { return a.s }
 
 // Troofs exposes the backing slice of a TROOF array (nil otherwise).
 func (a *Array) Troofs() []bool { return a.b }
+
+// WordElems reports whether each element is one 64-bit word (NUMBR or
+// NUMBAR): the arrays the atomic word accessors below accept. The PGAS
+// runtime reads such an element with one atomic load while other PEs
+// store to the array, so every store a concurrent LoadWord may observe
+// must go through StoreWord or CopyWords.
+func (a *Array) WordElems() bool { return a.elem == Numbr || a.elem == Numbar }
+
+func (a *Array) errNotWords() error {
+	return fmt.Errorf("array of %v has no word elements", a.elem)
+}
+
+// numbarWord views NUMBAR element i as the uint64 sync/atomic operates on.
+func (a *Array) numbarWord(i int) *uint64 { return (*uint64)(unsafe.Pointer(&a.f[i])) }
+
+// LoadWord atomically loads element i of a NUMBR or NUMBAR array, or
+// returns an *IndexError.
+func (a *Array) LoadWord(i int) (Value, error) {
+	if !a.WordElems() {
+		return NOOB, a.errNotWords()
+	}
+	if err := a.check(i); err != nil {
+		return NOOB, err
+	}
+	if a.elem == Numbr {
+		return NewNumbr(atomic.LoadInt64(&a.n[i])), nil
+	}
+	return NewNumbar(math.Float64frombits(atomic.LoadUint64(a.numbarWord(i)))), nil
+}
+
+// StoreWord is Set for NUMBR and NUMBAR arrays with an atomic store: it
+// returns an *IndexError, or casts v to the element type and stores it.
+func (a *Array) StoreWord(i int, v Value) error {
+	if !a.WordElems() {
+		return a.errNotWords()
+	}
+	if err := a.check(i); err != nil {
+		return err
+	}
+	cv, err := Cast(v, a.elem)
+	if err != nil {
+		return err
+	}
+	if a.elem == Numbr {
+		atomic.StoreInt64(&a.n[i], cv.n)
+	} else {
+		atomic.StoreUint64(a.numbarWord(i), math.Float64bits(cv.f))
+	}
+	return nil
+}
+
+// CopyWords overwrites a NUMBR or NUMBAR array's elements with src's, one
+// atomic store per element. Unlike CopyFrom it never resizes, since a
+// concurrent LoadWord may be indexing a, so src must have a's element
+// type and length.
+func (a *Array) CopyWords(src *Array) error {
+	if !a.WordElems() {
+		return a.errNotWords()
+	}
+	if a.elem != src.elem {
+		return fmt.Errorf("cannot copy array of %v into array of %v", src.elem, a.elem)
+	}
+	if src.Len() != a.Len() {
+		return fmt.Errorf("cannot copy %d elements into an array of %d in place", src.Len(), a.Len())
+	}
+	if a.elem == Numbr {
+		for i, x := range src.n {
+			atomic.StoreInt64(&a.n[i], x)
+		}
+		return nil
+	}
+	for i, x := range src.f {
+		atomic.StoreUint64(a.numbarWord(i), math.Float64bits(x))
+	}
+	return nil
+}

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -358,6 +359,51 @@ func TestArrayOfNoobRejected(t *testing.T) {
 	}
 	if _, err := NewArrayOf(Numbr, -1); err == nil {
 		t.Error("negative size should be rejected")
+	}
+}
+
+// StoreWord and LoadWord must behave exactly like Set and Get: the same
+// casts, the same IndexError and cast errors.
+func TestArrayWordAccessorsMatchSet(t *testing.T) {
+	inputs := []Value{NewNumbr(7), NewNumbar(-2.5), NewYarn("3"), NewYarn("nope"), NewTroof(true), NOOB}
+	for _, k := range []Kind{Numbr, Numbar} {
+		for _, v := range inputs {
+			for _, i := range []int{1, 2, -1} {
+				plain, _ := NewArrayOf(k, 2)
+				word, _ := NewArrayOf(k, 2)
+				perr, werr := plain.Set(i, v), word.StoreWord(i, v)
+				if fmt.Sprint(perr) != fmt.Sprint(werr) {
+					t.Errorf("%v[%d] = %v: Set error %v, StoreWord error %v", k, i, v, perr, werr)
+				}
+				got, err := word.LoadWord(i)
+				want, gerr := plain.GetChecked(i)
+				if got != want || fmt.Sprint(err) != fmt.Sprint(gerr) {
+					t.Errorf("%v[%d] = %v: LoadWord %v, %v; GetChecked %v, %v", k, i, v, got, err, want, gerr)
+				}
+			}
+		}
+	}
+}
+
+func TestArrayCopyWords(t *testing.T) {
+	a, _ := NewArrayOf(Numbar, 3)
+	src, _ := NewArrayOf(Numbar, 3)
+	src.Set(2, NewNumbar(4.5))
+	if err := a.CopyWords(src); err != nil || a.Get(2).Numbar() != 4.5 {
+		t.Errorf("CopyWords: %v, element 2 = %v", err, a.Get(2))
+	}
+	longer, _ := NewArrayOf(Numbar, 4)
+	ints, _ := NewArrayOf(Numbr, 3)
+	yarns, _ := NewArrayOf(Yarn, 3)
+	for _, bad := range []struct {
+		dst, src *Array
+	}{{a, longer}, {a, ints}, {yarns, yarns}} {
+		if err := bad.dst.CopyWords(bad.src); err == nil {
+			t.Errorf("CopyWords of %d %v into %d %v succeeded", bad.src.Len(), bad.src.Elem(), bad.dst.Len(), bad.dst.Elem())
+		}
+	}
+	if _, err := yarns.LoadWord(0); err == nil {
+		t.Error("LoadWord on a YARN array succeeded")
 	}
 }
 
