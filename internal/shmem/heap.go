@@ -14,9 +14,8 @@ import (
 // NUMBAR) use atomic loads and stores: a read takes no lock, only an
 // atomic load of arr and then of the element. Everything else uses the
 // mutex, which every writer holds, re-loading arr under it so no put lands
-// in a replaced instance. A published word array never changes length,
-// since lock-free readers index it: a PutArray of another length
-// publishes a new instance.
+// in a replaced instance. A published array never changes length, since
+// lock-free readers index it: PutArray publishes a new instance.
 type cell struct {
 	mu  sync.Mutex
 	v   value.Value
@@ -276,14 +275,10 @@ func (pe *PE) PutArray(target, slot int, src *value.Array) error {
 	}
 	pe.accountPut(target, slot, src.Len()*elemBytes(src.Elem()))
 	c.lock()
-	switch arr := c.arr.Load(); {
-	case arr.Elem() == src.Elem() && arr.Len() != src.Len():
-		// Publish rather than resize; see cell.
-		c.arr.Store(src.Clone())
-	case arr.WordElems():
-		err = arr.CopyWords(src)
-	default:
-		err = arr.CopyFrom(src)
+	if arr := c.arr.Load(); arr.Elem() != src.Elem() {
+		err = fmt.Errorf("cannot copy array of %v into array of %v", src.Elem(), arr.Elem())
+	} else {
+		c.arr.Store(src.Clone()) // publish, never write in place; see cell
 	}
 	c.unlock()
 	return err

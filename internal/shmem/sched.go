@@ -143,7 +143,8 @@ func (w *World) RunScheduled(workers int, makeStep func(pe *PE) func() error) er
 	errs := make([]error, n)
 	steps := make([]func() error, n)
 	tasks := make([]*peTask, n)
-	for id, pe := range w.newPEs() {
+	pes := w.newPEs()
+	for id, pe := range pes {
 		t := &peTask{pe: pe, sched: s, state: taskReady, wake: wakeState{complete: true}}
 		pe.task = t
 		tasks[id] = t
@@ -161,6 +162,7 @@ func (w *World) RunScheduled(workers int, makeStep func(pe *PE) func() error) er
 		}()
 	}
 	wg.Wait()
+	w.joinStats(pes)
 	err := errors.Join(errs...)
 	if err != nil && errors.Is(w.Err(), ErrDeadlock) && !errors.Is(err, ErrDeadlock) {
 		err = fmt.Errorf("%w: %w", ErrDeadlock, err)

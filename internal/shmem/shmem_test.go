@@ -2,6 +2,7 @@ package shmem
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -49,6 +50,68 @@ func TestPutGetScalar(t *testing.T) {
 	}
 	if s := w.Stats(); s.RemoteGets != 4 {
 		t.Errorf("RemoteGets = %d, want 4", s.RemoteGets)
+	}
+}
+
+// TestStatsSumAcrossRuns runs one world twice, as lolbench's lock table
+// does (a lock storm, then a run that reads the counter), and pins Stats
+// after each run to the sum over both runs' PEs.
+func TestStatsSumAcrossRuns(t *testing.T) {
+	syms := []SymbolSpec{{Name: "x"}}
+	w := newTestWorld(t, 2, syms, 1, Options{})
+	err := w.Run(func(pe *PE) error {
+		if err := pe.InitScalar(0, value.NewNumbr(0)); err != nil {
+			return err
+		}
+		if pe.ID() == 0 {
+			if err := pe.SetLock(0); err != nil {
+				return err
+			}
+		}
+		if err := pe.Barrier(); err != nil {
+			return err
+		}
+		if pe.ID() == 0 {
+			// Hold the lock until PE 1 has failed to take it and queued.
+			for w.locks[0].next.Load() < 2 {
+				runtime.Gosched()
+			}
+		}
+		if pe.ID() == 1 {
+			if err := pe.SetLock(0); err != nil {
+				return err
+			}
+		}
+		if err := pe.ClearLock(0); err != nil {
+			return err
+		}
+		if err := pe.Put(1-pe.ID(), 0, value.NewNumbr(1)); err != nil {
+			return err
+		}
+		return pe.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := StatsSnapshot{RemotePuts: 2, PutBytes: 16, Barriers: 4, LockAcquires: 2, LockContended: 1}
+	if s := w.Stats(); s != want {
+		t.Errorf("after the first run Stats = %+v, want %+v", s, want)
+	}
+
+	err = w.RunScheduled(0, func(pe *PE) func() error {
+		return func() error {
+			_, err := pe.Get(1-pe.ID(), 0)
+			return err
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.RemoteGets, want.GetBytes = 2, 16
+	s := w.Stats()
+	s.Sched = SchedSnapshot{}
+	if s != want {
+		t.Errorf("after the second run Stats = %+v, want %+v", s, want)
 	}
 }
 

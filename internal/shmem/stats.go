@@ -1,8 +1,8 @@
 package shmem
 
 // StatsSnapshot is a world's operation counters, summed over the PEs of
-// its last run, plus the worker-scheduler activity for worlds run under
-// RunScheduled (zero-valued otherwise).
+// its finished runs, plus the worker-scheduler activity for worlds run
+// under RunScheduled (zero-valued otherwise).
 type StatsSnapshot struct {
 	RemotePuts    int64
 	RemoteGets    int64

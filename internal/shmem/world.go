@@ -104,9 +104,9 @@ type World struct {
 	// sched is non-nil iff this world runs under RunScheduled.
 	sched *scheduler
 
-	// pes are the PEs of the last Run or RunScheduled; Stats sums their
-	// counters.
-	pes []*PE
+	// stats totals the counters of the PEs of every finished Run and
+	// RunScheduled; joinStats adds a run's PEs once they have all joined.
+	stats PEStats
 }
 
 // NewWorld creates a world of n PEs with the given symmetric heap layout
@@ -146,20 +146,21 @@ func (w *World) Model() CostModel { return w.model }
 // Symbols returns the symmetric heap layout.
 func (w *World) Symbols() []SymbolSpec { return w.syms }
 
-// Stats returns the operation counters of the last Run or RunScheduled,
-// summed over its PEs. Each PE counts its own operations unsynchronized,
-// so call Stats only after the run has returned.
+// Stats returns the operation counters of every finished Run and
+// RunScheduled on this world, summed over their PEs, plus the scheduler
+// activity of the last RunScheduled. Each PE counts its own operations
+// unsynchronized and its run adds them to the totals after every PE has
+// joined, so call Stats between runs.
 func (w *World) Stats() StatsSnapshot {
-	var s StatsSnapshot
-	for _, pe := range w.pes {
-		c := &pe.stats
-		s.RemotePuts += c.RemotePuts
-		s.RemoteGets += c.RemoteGets
-		s.PutBytes += c.PutBytes
-		s.GetBytes += c.GetBytes
-		s.Barriers += c.Barriers
-		s.LockAcquires += c.LockAcquires
-		s.LockContended += c.LockContended
+	c := &w.stats
+	s := StatsSnapshot{
+		RemotePuts:    c.RemotePuts,
+		RemoteGets:    c.RemoteGets,
+		PutBytes:      c.PutBytes,
+		GetBytes:      c.GetBytes,
+		Barriers:      c.Barriers,
+		LockAcquires:  c.LockAcquires,
+		LockContended: c.LockContended,
 	}
 	if w.sched != nil {
 		s.Sched = w.sched.snapshot()
@@ -167,13 +168,29 @@ func (w *World) Stats() StatsSnapshot {
 	return s
 }
 
-// newPEs creates the PEs of a run and keeps them for Stats.
+// newPEs creates the PEs of a run.
 func (w *World) newPEs() []*PE {
-	w.pes = make([]*PE, w.n)
-	for id := range w.pes {
-		w.pes[id] = &PE{id: id, w: w, rng: rand.New(rand.NewSource(w.opts.Seed + int64(id)))}
+	pes := make([]*PE, w.n)
+	for id := range pes {
+		pes[id] = &PE{id: id, w: w, rng: rand.New(rand.NewSource(w.opts.Seed + int64(id)))}
 	}
-	return w.pes
+	return pes
+}
+
+// joinStats adds the counters of a run's PEs, all joined, to the world's
+// totals.
+func (w *World) joinStats(pes []*PE) {
+	t := &w.stats
+	for _, pe := range pes {
+		c := &pe.stats
+		t.RemotePuts += c.RemotePuts
+		t.RemoteGets += c.RemoteGets
+		t.PutBytes += c.PutBytes
+		t.GetBytes += c.GetBytes
+		t.Barriers += c.Barriers
+		t.LockAcquires += c.LockAcquires
+		t.LockContended += c.LockContended
+	}
 }
 
 // fail records the first failure and releases every parked PE: the wake
@@ -265,7 +282,8 @@ func (w *World) Run(body func(pe *PE) error) error {
 	errs := make([]error, w.n)
 	var wg sync.WaitGroup
 	wg.Add(w.n)
-	for _, pe := range w.newPEs() {
+	pes := w.newPEs()
+	for _, pe := range pes {
 		pe.task = &peTask{pe: pe, wakeCh: make(chan error, 1)}
 		go func(pe *PE) {
 			defer wg.Done()
@@ -283,6 +301,7 @@ func (w *World) Run(body func(pe *PE) error) error {
 		}(pe)
 	}
 	wg.Wait()
+	w.joinStats(pes)
 	return errors.Join(errs...)
 }
 

@@ -214,7 +214,7 @@ func (a *Array) Troofs() []bool { return a.b }
 // NUMBAR): the arrays the atomic word accessors below accept. The PGAS
 // runtime reads such an element with one atomic load while other PEs
 // store to the array, so every store a concurrent LoadWord may observe
-// must go through StoreWord or CopyWords.
+// must go through StoreWord.
 func (a *Array) WordElems() bool { return a.elem == Numbr || a.elem == Numbar }
 
 func (a *Array) errNotWords() error {
@@ -256,32 +256,6 @@ func (a *Array) StoreWord(i int, v Value) error {
 		atomic.StoreInt64(&a.n[i], cv.n)
 	} else {
 		atomic.StoreUint64(a.numbarWord(i), math.Float64bits(cv.f))
-	}
-	return nil
-}
-
-// CopyWords overwrites a NUMBR or NUMBAR array's elements with src's, one
-// atomic store per element. Unlike CopyFrom it never resizes, since a
-// concurrent LoadWord may be indexing a, so src must have a's element
-// type and length.
-func (a *Array) CopyWords(src *Array) error {
-	if !a.WordElems() {
-		return a.errNotWords()
-	}
-	if a.elem != src.elem {
-		return fmt.Errorf("cannot copy array of %v into array of %v", src.elem, a.elem)
-	}
-	if src.Len() != a.Len() {
-		return fmt.Errorf("cannot copy %d elements into an array of %d in place", src.Len(), a.Len())
-	}
-	if a.elem == Numbr {
-		for i, x := range src.n {
-			atomic.StoreInt64(&a.n[i], x)
-		}
-		return nil
-	}
-	for i, x := range src.f {
-		atomic.StoreUint64(a.numbarWord(i), math.Float64bits(x))
 	}
 	return nil
 }

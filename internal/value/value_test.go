@@ -383,27 +383,13 @@ func TestArrayWordAccessorsMatchSet(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestArrayCopyWords(t *testing.T) {
-	a, _ := NewArrayOf(Numbar, 3)
-	src, _ := NewArrayOf(Numbar, 3)
-	src.Set(2, NewNumbar(4.5))
-	if err := a.CopyWords(src); err != nil || a.Get(2).Numbar() != 4.5 {
-		t.Errorf("CopyWords: %v, element 2 = %v", err, a.Get(2))
-	}
-	longer, _ := NewArrayOf(Numbar, 4)
-	ints, _ := NewArrayOf(Numbr, 3)
-	yarns, _ := NewArrayOf(Yarn, 3)
-	for _, bad := range []struct {
-		dst, src *Array
-	}{{a, longer}, {a, ints}, {yarns, yarns}} {
-		if err := bad.dst.CopyWords(bad.src); err == nil {
-			t.Errorf("CopyWords of %d %v into %d %v succeeded", bad.src.Len(), bad.src.Elem(), bad.dst.Len(), bad.dst.Elem())
-		}
-	}
+	// Arrays of other element types have no words to load or store.
+	yarns, _ := NewArrayOf(Yarn, 1)
 	if _, err := yarns.LoadWord(0); err == nil {
 		t.Error("LoadWord on a YARN array succeeded")
+	}
+	if err := yarns.StoreWord(0, NewNumbr(1)); err == nil {
+		t.Error("StoreWord on a YARN array succeeded")
 	}
 }
 
