@@ -1,6 +1,7 @@
 package repro
 
-// One benchmark group per paper artifact (DESIGN.md §4):
+// One benchmark group per paper artifact (see the experiment index in the
+// internal/experiments package doc):
 //
 //	BenchmarkT1_*  — Table I: frontend (lexing, parsing, checking)
 //	BenchmarkT2_*  — Table II: parallel primitives (barrier, put/get, locks)
@@ -170,11 +171,43 @@ func BenchmarkT2_RemoteGet(b *testing.B) {
 }
 
 // BenchmarkT2_ElemGetShared reads shared NUMBAR elements from both PEs at
-// once, as nbody's force phase does: each PE reads its own array through
-// LocalGetElem and its peer's through GetElem. One op is one local plus
-// one remote get.
+// once, as nbody's force phase does: each PE reads its own array and its
+// peer's. One op is one local plus one remote get. "value" reads through
+// LocalGetElem and GetElem, as the in-process engines do; "typed" reads
+// through LocalGetNumbar and GetNumbar, as gogen-emitted code does.
 func BenchmarkT2_ElemGetShared(b *testing.B) {
 	const size = 64
+	b.Run("value", func(b *testing.B) {
+		runSharedElems(b, size, func(pe *shmem.PE, peer int) error {
+			for i := 0; i < b.N; i++ {
+				if _, err := pe.LocalGetElem(0, i%size); err != nil {
+					return err
+				}
+				if _, err := pe.GetElem(peer, 0, i%size); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	})
+	b.Run("typed", func(b *testing.B) {
+		runSharedElems(b, size, func(pe *shmem.PE, peer int) error {
+			for i := 0; i < b.N; i++ {
+				if _, err := pe.LocalGetNumbar(0, i%size); err != nil {
+					return err
+				}
+				if _, err := pe.GetNumbar(peer, 0, i%size); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	})
+}
+
+// runSharedElems times reads on a 2-PE world whose PEs have each
+// allocated a NUMBAR array of size elements.
+func runSharedElems(b *testing.B, size int, reads func(pe *shmem.PE, peer int) error) {
 	syms := []shmem.SymbolSpec{{Name: "pos", IsArray: true, Elem: value.Numbar}}
 	world, err := shmem.NewWorld(2, syms, 0, shmem.Options{})
 	if err != nil {
@@ -188,16 +221,7 @@ func BenchmarkT2_ElemGetShared(b *testing.B) {
 		if err := pe.Barrier(); err != nil {
 			return err
 		}
-		peer := 1 - pe.ID()
-		for i := 0; i < b.N; i++ {
-			if _, err := pe.LocalGetElem(0, i%size); err != nil {
-				return err
-			}
-			if _, err := pe.GetElem(peer, 0, i%size); err != nil {
-				return err
-			}
-		}
-		return nil
+		return reads(pe, 1-pe.ID())
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -1,7 +1,7 @@
 // Command lolbench regenerates every table and figure of Richie & Ross
 // (2017) and the measurable versions of its qualitative claims. Each
-// subcommand corresponds to an experiment id in DESIGN.md §4 and a section
-// of EXPERIMENTS.md:
+// subcommand corresponds to an experiment id in the index of the
+// internal/experiments package doc:
 //
 //	lolbench table1|table2|table3|tables   conformance Tables I-III
 //	lolbench fig1 [-np 4] [-f prog.lol]    Figure 1: PGAS symmetric layout

@@ -57,6 +57,6 @@
 //     and the HTTP execution daemon (`lolbench serve` load-tests it).
 //
 // bench_test.go in this directory carries one benchmark group per paper
-// artifact; see DESIGN.md for the experiment index and EXPERIMENTS.md for
-// paper-vs-measured results.
+// artifact; the experiment index is in the internal/experiments package
+// doc.
 package repro

@@ -42,7 +42,7 @@ func TestWalkVisitsEveryConstruct(t *testing.T) {
 		return true
 	})
 	// The paper listing has 17 declarations, 8 loops, 3 barriers (plus the
-	// erratum barrier after initialization, see DESIGN.md §2.6), and one
+	// erratum barrier after initialization, see testdata/nbody.lol), and one
 	// predicated block; the expression counts just need to be substantial.
 	if counts["decl"] != 17 {
 		t.Errorf("decls = %d, want 17", counts["decl"])

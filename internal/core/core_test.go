@@ -90,9 +90,10 @@ func TestRingListing(t *testing.T) {
 }
 
 // TestRingRace runs the paper's original §VI.A form, which copies into the
-// same symmetric array it reads from. The copy is racy (DESIGN.md §2.5):
-// each PE must end with *some* PE's original block, but which one depends
-// on scheduling. The test pins down exactly the guaranteed part.
+// same symmetric array it reads from; testdata/ring.lol is the race-free
+// form. The copy is racy: each PE must end with *some* PE's original
+// block, but which one depends on scheduling. The test pins down exactly
+// the guaranteed part.
 func TestRingRace(t *testing.T) {
 	const src = `HAI 1.2
 I HAS A pe ITZ A NUMBR AN ITZ ME

@@ -1,9 +1,10 @@
 // Package experiments regenerates every table and figure of Richie & Ross
 // (2017) plus the measurable versions of the paper's qualitative claims.
 // Each experiment writes a human-readable report; cmd/lolbench is the CLI
-// front end and EXPERIMENTS.md records paper-vs-measured.
+// front end.
 //
-// Experiment index (see DESIGN.md section 4):
+// Experiment index (lolbench subcommands and the bench_test.go groups use
+// these ids):
 //
 //	T1, T2, T3 — conformance tables I-III
 //	F1         — Figure 1, the PGAS symmetric memory layout
@@ -11,6 +12,7 @@
 //	E1         — compiler vs interpreter backends
 //	E2         — scaling from Parallella-like to XC40-like machines
 //	E3         — the lcc -> Go -> executable toolchain
+//	E4         — worker-scheduler weak scaling
 package experiments
 
 import (

@@ -31,28 +31,13 @@ func TestGogenConformanceCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("go toolchain round trip is slow for -short")
 	}
-	goTool, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go toolchain not available")
-	}
-	moduleRoot, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	genRoot, err := os.MkdirTemp(moduleRoot, "gen-corpus-")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// t.Cleanup, not defer: the parallel subtests below outlive this
-	// function body, and the binaries must outlive them.
-	t.Cleanup(func() { os.RemoveAll(genRoot) })
-
 	type kase struct {
 		idx  int
 		row  conformance.Row
 		prog *core.Program
 	}
 	var cases []kase
+	mains := map[string][]byte{}
 	for i, row := range conformance.All() {
 		prog, err := core.Parse(fmt.Sprintf("row%02d.lol", i), row.Source)
 		if err != nil {
@@ -66,30 +51,13 @@ func TestGogenConformanceCorpus(t *testing.T) {
 			t.Errorf("row %d (%s): emit: %v", i, row.Construct, err)
 			continue
 		}
-		dir := filepath.Join(genRoot, fmt.Sprintf("row%02d", i))
-		if err := os.Mkdir(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, "main.go"), out, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		mains[fmt.Sprintf("row%02d", i)] = out
 		cases = append(cases, kase{idx: i, row: row, prog: prog})
 	}
 	if len(cases) < 40 {
 		t.Fatalf("only %d rows emitted; the corpus should be nearly all of Tables I-III", len(cases))
 	}
-
-	// One toolchain invocation for the whole corpus: every emitted
-	// program must compile, or the emitter produced invalid Go.
-	binDir := filepath.Join(genRoot, "bin")
-	if err := os.Mkdir(binDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	build := exec.Command(goTool, "build", "-o", binDir, "./"+filepath.Base(genRoot)+"/...")
-	build.Dir = moduleRoot
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("corpus does not compile: %v\n%s", err, out)
-	}
+	binDir := buildMains(t, "gen-corpus-", mains)
 
 	for _, c := range cases {
 		c := c
@@ -117,6 +85,50 @@ func TestGogenConformanceCorpus(t *testing.T) {
 			}
 		})
 	}
+}
+
+// buildMains writes each emitted program as its own main package under a
+// fresh directory inside the module (generated code imports
+// repro/internal/...) and compiles them all with ONE `go build`: every
+// program must compile, or the emitter produced invalid Go. It returns
+// the directory holding one binary per map key. It skips the test when
+// no go toolchain is installed.
+func buildMains(t *testing.T, prefix string, mains map[string][]byte) string {
+	t.Helper()
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go toolchain not available")
+	}
+	moduleRoot, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	genRoot, err := os.MkdirTemp(moduleRoot, prefix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// t.Cleanup, not defer: parallel subtests outlive the caller's body,
+	// and the binaries must outlive them.
+	t.Cleanup(func() { os.RemoveAll(genRoot) })
+	for name, src := range mains {
+		dir := filepath.Join(genRoot, name)
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "main.go"), src, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	binDir := filepath.Join(genRoot, "bin")
+	if err := os.Mkdir(binDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	build := exec.Command(goTool, "build", "-o", binDir, "./"+filepath.Base(genRoot)+"/...")
+	build.Dir = moduleRoot
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("emitted programs do not compile: %v\n%s", err, out)
+	}
+	return binDir
 }
 
 // shorten mirrors the conformance test's subtest naming.

@@ -15,10 +15,27 @@
 // is this repository's `lcc code.lol -o x && coprsh -np 16 ./x`, and the
 // same binary with -serve is one rung of the server's tier ladder.
 //
-// Limitations (documented in DESIGN.md): SRS with a runtime-computed name
-// cannot be lowered to static Go variables and is rejected; the dynamic
-// backends (interp, compile) support it. Check reports this up front
-// without running the full emitter.
+// The lowering is unboxed where the program allows, as lcc's C was
+// (typed.go). A private scalar lives as a raw Go int64 or float64 when
+// its declaration runs before every read of it (it dominates them) and
+// every store keeps its kind:
+//
+//   - SRSLY NUMBR and NUMBAR privates, whose stores cast;
+//   - loop counters the body never assigns;
+//   - other privates whose declaration yields a NUMBR or NUMBAR and
+//     whose every R stores that same kind, never GIMMEH or IS NOW A
+//     targets (inferred by a fixpoint in computeReps).
+//
+// Every other scalar, IT, parameters and shared scalars included, stays
+// a boxed value.Value, so a variable whose declaration did not run still
+// reads as NOOB. Reads of shared NUMBR and NUMBAR array elements use the
+// typed one-sided gets (pe.GetNumbar, pe.LocalGetNumbr, ...), the
+// analogue of shmem_double_g and shmem_long_g, and stay unboxed.
+//
+// Limitation: SRS with a runtime-computed name cannot be lowered to
+// static Go variables and is rejected; the dynamic backends (interp, vm,
+// compile) support it. Check reports this up front without running the
+// full emitter.
 package gogen
 
 import (
@@ -37,7 +54,7 @@ import (
 // result-cache key salt — so bumping it on any change that can alter
 // emitted-program behaviour invalidates stale binaries and stale cached
 // native results in one move. Bump it whenever codegen semantics change.
-const Version = "g3"
+const Version = "g4"
 
 // Check reports whether the program can be lowered by this emitter,
 // without paying for emission: it walks the AST for the constructs the

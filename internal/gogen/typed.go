@@ -19,19 +19,22 @@ import (
 //
 // Correctness containment mirrors the compile backend's: a symbol may
 // live as a raw Go scalar only when every write provably preserves its
-// kind — SRSLY-typed scalars are cast on every store (see storeVar), and
-// loop counters qualify only when the body never assigns to them. Typed
-// fast paths for operators with failure modes (QUOSHUNT, MOD, FLIP OF,
-// UNSQUAR OF) call the value.Raw* helpers so error text stays
-// single-sourced with the dynamic backends.
+// kind and its declaration runs before every read (see computeReps) —
+// SRSLY-typed scalars are cast on every store (see storeVar), loop
+// counters qualify only when the body never assigns to them, and other
+// privates only when every store has their kind. Shared NUMBR and
+// NUMBAR elements read through the typed gets (pe.GetNumbar and
+// friends) straight into raw code. Typed fast paths for operators with
+// failure modes (QUOSHUNT, MOD, FLIP OF, UNSQUAR OF) call the value.Raw*
+// helpers so error text stays single-sourced with the dynamic backends.
 
 // rep is the Go-level representation of a private scalar symbol.
 type rep int
 
 const (
 	repValue rep = iota // boxed value.Value (the default)
-	repInt              // raw int64: SRSLY NUMBR, pristine loop counters
-	repFloat            // raw float64: SRSLY NUMBAR
+	repInt              // raw int64: SRSLY NUMBR, pristine loop counters, inferred NUMBR
+	repFloat            // raw float64: SRSLY NUMBAR, inferred NUMBAR
 )
 
 // goType returns the Go declaration type for a symbol.
@@ -45,27 +48,51 @@ func (g *gen) goType(sym *sema.Symbol) string {
 	return "value.Value"
 }
 
-// computeReps decides which private scalars can live unboxed. Shared
-// symbols always live in the symmetric heap as value.Value; IT and
-// parameters stay boxed because any kind flows into them.
+// computeReps decides which private scalars live unboxed. Shared symbols
+// always live in the symmetric heap as value.Value; IT and parameters
+// stay boxed because any kind flows into them. A private needs its Decl
+// to dominate every reference (see scanUses), since a boxed variable
+// whose Decl never ran reads as NOOB and a raw one would read as 0.
+//
+// Privates without SRSLY are inferred by an optimistic fixpoint: each
+// starts at the kind its declaration yields, and is demoted to boxed
+// when a store could give it another kind, until nothing changes. The
+// stores that qualify are R with exactly that static kind, under the
+// current reps (only SRSLY stores cast, so there is no promotion), and
+// a loop header counting a NUMBR. A GIMMEH or IS NOW A target stays
+// boxed. Demotion only makes more expressions dynamic, so the pass ends.
 func computeReps(info *sema.Info) map[*sema.Symbol]rep {
-	written := writtenSyms(info)
-	reps := make(map[*sema.Symbol]rep)
+	u := scanUses(info)
+	g := &gen{info: info, reps: make(map[*sema.Symbol]rep)}
+	var inferred []*sema.Symbol
+	add := func(sym *sema.Symbol, k value.Kind) {
+		switch {
+		case k == value.Numbr:
+			g.reps[sym] = repInt
+		case k == value.Numbar && !u.counter[sym]:
+			g.reps[sym] = repFloat
+		}
+	}
 	collect := func(scope *sema.Scope) {
+		// Declaration order: an Init reads only symbols declared before
+		// it, so their optimistic reps are already in place.
 		for _, sym := range scope.Order {
-			if sym.IsArray {
+			if sym.IsArray || u.undominated[sym] {
 				continue
 			}
 			switch {
-			case sym.Kind == sema.SymPrivate && sym.Static && sym.Type == value.Numbr:
-				reps[sym] = repInt
-			case sym.Kind == sema.SymPrivate && sym.Static && sym.Type == value.Numbar:
-				reps[sym] = repFloat
-			case sym.Kind == sema.SymLoopVar && !written[sym]:
+			case sym.Kind == sema.SymLoopVar && len(u.assigns[sym]) == 0 && !u.killed[sym]:
 				// Implicit counters are NUMBR by construction; a body
 				// that assigns to one could store any kind, so only
 				// never-assigned counters unbox.
-				reps[sym] = repInt
+				g.reps[sym] = repInt
+			case sym.Kind == sema.SymPrivate && sym.Static:
+				add(sym, sym.Type)
+			case sym.Kind == sema.SymPrivate && !u.killed[sym]:
+				if k, ok := g.declKind(sym.Decl); ok {
+					add(sym, k)
+					inferred = append(inferred, sym)
+				}
 			}
 		}
 	}
@@ -73,33 +100,166 @@ func computeReps(info *sema.Info) map[*sema.Symbol]rep {
 	for _, fi := range info.Funcs {
 		collect(fi.Scope)
 	}
-	return reps
-}
 
-// writtenSyms collects every symbol that is the target of an assignment,
-// GIMMEH, or IS NOW A anywhere in the program (the loop-header increment
-// does not count: it is emitted by the loop itself and preserves NUMBR).
-func writtenSyms(info *sema.Info) map[*sema.Symbol]bool {
-	written := make(map[*sema.Symbol]bool)
-	mark := func(target ast.Expr) {
-		if v, ok := target.(*ast.VarRef); ok {
-			if sym, ok := info.Refs[v]; ok {
-				written[sym] = true
+	for changed := true; changed; {
+		changed = false
+		for _, sym := range inferred {
+			r, ok := g.reps[sym]
+			if !ok {
+				continue
+			}
+			k, ok := g.declKind(sym.Decl)
+			keep := ok && (k == value.Numbar) == (r == repFloat)
+			for _, rhs := range u.assigns[sym] {
+				rk, ok := g.staticNumKind(rhs)
+				keep = keep && ok && rk == k
+			}
+			if !keep {
+				delete(g.reps, sym)
+				changed = true
 			}
 		}
 	}
-	ast.Walk(info.Prog, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.Assign:
-			mark(s.Target)
-		case *ast.Gimmeh:
-			mark(s.Target)
-		case *ast.CastStmt:
-			mark(s.Target)
+	return g.reps
+}
+
+// declKind is the numeric kind a private's declaration gives it without
+// SRSLY: its Init's static kind, or the typed zero when there is none.
+func (g *gen) declKind(d *ast.Decl) (value.Kind, bool) {
+	if d.Init != nil {
+		return g.staticNumKind(d.Init)
+	}
+	if d.Typed && (d.Type == value.Numbr || d.Type == value.Numbar) {
+		return d.Type, true
+	}
+	return 0, false
+}
+
+// uses is what computeReps needs to know about how each symbol is used.
+type uses struct {
+	info  *sema.Info
+	scope *sema.Scope
+	live  map[*sema.Symbol]bool // privates whose Decl dominates this point
+
+	undominated map[*sema.Symbol]bool // a private referenced where its Decl may not have run
+	assigns     map[*sema.Symbol][]ast.Expr
+	killed      map[*sema.Symbol]bool // a GIMMEH or IS NOW A target
+	counter     map[*sema.Symbol]bool // counted by a loop header
+}
+
+// scanUses walks every frame. A private's Decl dominates a reference
+// when the reference lies after the Decl in the statement list holding
+// the Decl, so every path to the reference ran the Decl first. Anything
+// else, such as a read after the OIC of the O RLY? that declared it or
+// after a loop that may run no times, is undominated. (LOLCODE scoping
+// is function-flat, so sema resolves such reads.)
+func scanUses(info *sema.Info) *uses {
+	u := &uses{
+		info:        info,
+		live:        make(map[*sema.Symbol]bool),
+		undominated: make(map[*sema.Symbol]bool),
+		assigns:     make(map[*sema.Symbol][]ast.Expr),
+		killed:      make(map[*sema.Symbol]bool),
+		counter:     make(map[*sema.Symbol]bool),
+	}
+	u.scope = info.Main
+	u.stmts(info.Prog.Body)
+	for _, fi := range info.Funcs {
+		u.scope = fi.Scope
+		u.stmts(fi.Decl.Body)
+	}
+	return u
+}
+
+// stmts scans one statement list, keeping each private it declares live
+// for the rest of the list.
+func (u *uses) stmts(ss []ast.Stmt) {
+	var declared []*sema.Symbol
+	for _, s := range ss {
+		ast.Walk(s, u.visit)
+		if d, ok := s.(*ast.Decl); ok {
+			sym := u.info.Refs[d]
+			u.live[sym] = true
+			declared = append(declared, sym)
 		}
-		return true
-	})
-	return written
+	}
+	for _, sym := range declared {
+		delete(u.live, sym)
+	}
+}
+
+func (u *uses) ref(sym *sema.Symbol) {
+	if sym != nil && sym.Kind == sema.SymPrivate && !u.live[sym] {
+		u.undominated[sym] = true
+	}
+}
+
+// target resolves an assignment target to the symbol it names, or nil.
+func (u *uses) target(e ast.Expr) *sema.Symbol {
+	if v, ok := e.(*ast.VarRef); ok {
+		return u.info.Refs[v]
+	}
+	return nil
+}
+
+// visit records one node's uses for ast.Walk, and scans the statement
+// lists below it itself so each is its own dominance region.
+func (u *uses) visit(n ast.Node) bool {
+	switch x := n.(type) {
+	case *ast.VarRef:
+		u.ref(u.info.Refs[x])
+	case *ast.YarnLit:
+		// :{var} resolves by name in the frame, as readVar does.
+		for _, seg := range x.Segs {
+			if seg.Var != "" {
+				u.ref(u.scope.Names[seg.Var])
+			}
+		}
+	case *ast.Assign:
+		if sym := u.target(x.Target); sym != nil {
+			u.assigns[sym] = append(u.assigns[sym], x.Value)
+		}
+	case *ast.Gimmeh:
+		if sym := u.target(x.Target); sym != nil {
+			u.killed[sym] = true
+		}
+	case *ast.CastStmt:
+		if sym := u.target(x.Target); sym != nil {
+			u.killed[sym] = true
+		}
+	case *ast.If:
+		u.stmts(x.Then)
+		for _, m := range x.Mebbes {
+			ast.Walk(m.Cond, u.visit)
+			u.stmts(m.Body)
+		}
+		u.stmts(x.Else)
+		return false
+	case *ast.Switch:
+		for _, c := range x.Cases {
+			ast.Walk(c.Lit, u.visit)
+			u.stmts(c.Body)
+		}
+		u.stmts(x.Default)
+		return false
+	case *ast.Loop:
+		if sym := u.info.Refs[x]; sym != nil {
+			u.ref(sym)
+			u.counter[sym] = true
+		}
+		ast.Walk(x.Cond, u.visit)
+		u.stmts(x.Body)
+		return false
+	case *ast.TxtStmt:
+		ast.Walk(x.Target, u.visit)
+		u.stmts([]ast.Stmt{x.Stmt})
+		return false
+	case *ast.TxtBlock:
+		ast.Walk(x.Target, u.visit)
+		u.stmts(x.Body)
+		return false
+	}
+	return true
 }
 
 // staticNumKind reports the numeric kind e is guaranteed to evaluate to,
@@ -222,12 +382,19 @@ func rawUnwrap(boxed string, k value.Kind) string {
 // that kind. The returned string is side-effect free (RNG draws and
 // checked operations land in temps emitted above it), so callers may
 // embed it in larger expressions but must still use it exactly once.
+// Literals land in temps too: the result is never a Go constant
+// expression, which the Go compiler would fold at compile time and
+// reject where LOLCODE wraps a NUMBR or truncates a NUMBAR at run time.
 func (g *gen) emitRaw(e ast.Expr) (string, value.Kind, error) {
 	switch n := e.(type) {
 	case *ast.NumbrLit:
-		return fmt.Sprintf("int64(%d)", n.Value), value.Numbr, nil
+		t := g.tmp()
+		g.w("%s := int64(%d)", t, n.Value)
+		return t, value.Numbr, nil
 	case *ast.NumbarLit:
-		return fmt.Sprintf("float64(%g)", n.Value), value.Numbar, nil
+		t := g.tmp()
+		g.w("%s := float64(%g)", t, n.Value)
+		return t, value.Numbar, nil
 	case *ast.Me:
 		return "int64(pe.ID())", value.Numbr, nil
 	case *ast.MahFrenz:
@@ -253,6 +420,9 @@ func (g *gen) emitRaw(e ast.Expr) (string, value.Kind, error) {
 		sym, err := g.symFor(n.Arr)
 		if err != nil {
 			return "", 0, err
+		}
+		if sym.Kind == sema.SymShared {
+			return g.getWord(n, sym)
 		}
 		boxed, err := g.readIndex(n)
 		if err != nil {
@@ -281,6 +451,27 @@ func (g *gen) emitRaw(e ast.Expr) (string, value.Kind, error) {
 		return rawUnwrap(t, n.Type), n.Type, nil
 	}
 	return "", 0, fmt.Errorf("gogen: internal: emitRaw on unvetted expression %T at %s", e, e.Pos())
+}
+
+// getWord reads a shared NUMBR or NUMBAR element with the typed get,
+// which returns the raw int64 or float64 with GetElem's checks and cost.
+func (g *gen) getWord(n *ast.Index, sym *sema.Symbol) (string, value.Kind, error) {
+	idxT, err := g.indexExpr(n.IndexE)
+	if err != nil {
+		return "", 0, err
+	}
+	peExpr, remote, err := g.peOf(n.Arr)
+	if err != nil {
+		return "", 0, err
+	}
+	t, errV := g.tmp(), g.tmp()
+	if remote {
+		g.w("%s, %s := pe.Get%s(%s, %s, int(%s))", t, errV, kindName(sym.Type), peExpr, slotConst(sym), idxT)
+	} else {
+		g.w("%s, %s := pe.LocalGet%s(%s, int(%s))", t, errV, kindName(sym.Type), slotConst(sym), idxT)
+	}
+	g.failErr(errV)
+	return t, sym.Type, nil
 }
 
 func (g *gen) emitRawBin(n *ast.BinExpr) (string, value.Kind, error) {

@@ -6,7 +6,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/gogen"
 )
+
+// cur is the file-name suffix of a binary built by the current codegen.
+const cur = "." + gogen.Version + ".bin"
 
 // quotaCache opens a cache over a temp dir without requiring the go
 // toolchain — quota logic never shells out.
@@ -50,9 +55,9 @@ func exists(path string) bool {
 
 func TestQuotaEvictsLRU(t *testing.T) {
 	c := quotaCache(t)
-	oldest := plant(t, c, "a.g3.bin", 1000, 3*time.Hour)
-	middle := plant(t, c, "b.g3.bin", 1000, 2*time.Hour)
-	newest := plant(t, c, "c.g3.bin", 1000, time.Hour)
+	oldest := plant(t, c, "a"+cur, 1000, 3*time.Hour)
+	middle := plant(t, c, "b"+cur, 1000, 2*time.Hour)
+	newest := plant(t, c, "c"+cur, 1000, time.Hour)
 	notBin := plant(t, c, "README", 5000, 5*time.Hour) // never quota fodder
 
 	c.SetMaxBytes(2500)
@@ -85,9 +90,9 @@ func TestQuotaEvictsLRU(t *testing.T) {
 
 func TestQuotaGraceSparesHotBinaries(t *testing.T) {
 	c := quotaCache(t)
-	cold := plant(t, c, "cold.g3.bin", 1000, time.Hour)
-	hot := plant(t, c, "hot1.g3.bin", 1000, 0)
-	hot2 := plant(t, c, "hot2.g3.bin", 1000, 0)
+	cold := plant(t, c, "cold"+cur, 1000, time.Hour)
+	hot := plant(t, c, "hot1"+cur, 1000, 0)
+	hot2 := plant(t, c, "hot2"+cur, 1000, 0)
 
 	// Quota of one file: the cold binary goes, but the two hot ones are
 	// both inside the grace window — the cache runs over quota rather
@@ -107,7 +112,7 @@ func TestQuotaGraceSparesHotBinaries(t *testing.T) {
 func TestQuotaCountsStaleVersions(t *testing.T) {
 	c := quotaCache(t)
 	stale := plant(t, c, strings.Repeat("a", 64)+".g1.bin", 4000, 2*time.Hour)
-	fresh := plant(t, c, strings.Repeat("b", 64)+".g3.bin", 1000, time.Hour)
+	fresh := plant(t, c, strings.Repeat("b", 64)+cur, 1000, time.Hour)
 
 	c.SetMaxBytes(2000)
 	if exists(stale) {
@@ -122,8 +127,8 @@ func TestTouchRefreshesEvictionOrder(t *testing.T) {
 	c := quotaCache(t)
 	shaA := strings.Repeat("1", 64)
 	shaB := strings.Repeat("2", 64)
-	a := plant(t, c, shaA+".g3.bin", 1000, 3*time.Hour)
-	b := plant(t, c, shaB+".g3.bin", 1000, 2*time.Hour)
+	a := plant(t, c, shaA+cur, 1000, 3*time.Hour)
+	b := plant(t, c, shaB+cur, 1000, 2*time.Hour)
 
 	// A run touches the older binary; the other one is now the LRU.
 	c.Touch(shaA)
@@ -139,7 +144,7 @@ func TestTouchRefreshesEvictionOrder(t *testing.T) {
 func TestRemoveDeletesBinary(t *testing.T) {
 	c := quotaCache(t)
 	sha := strings.Repeat("c", 64)
-	path := plant(t, c, sha+".g3.bin", 100, 0)
+	path := plant(t, c, sha+cur, 100, 0)
 	c.Remove(sha)
 	if exists(path) {
 		t.Error("Remove left the binary on disk")
@@ -149,8 +154,8 @@ func TestRemoveDeletesBinary(t *testing.T) {
 
 func TestSweepStaleTmp(t *testing.T) {
 	dir := t.TempDir()
-	stale := filepath.Join(dir, "x.g3.bin.tmp")
-	young := filepath.Join(dir, "y.g3.bin.tmp")
+	stale := filepath.Join(dir, "x"+cur+".tmp")
+	young := filepath.Join(dir, "y"+cur+".tmp")
 	for _, p := range []string{stale, young} {
 		if err := os.WriteFile(p, []byte("partial"), 0o644); err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package shmem
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -25,10 +26,20 @@ type cell struct {
 func (c *cell) lock()   { c.mu.Lock() }
 func (c *cell) unlock() { c.mu.Unlock() }
 
-// getElem reads element index; arr is the caller's load of c.arr.
+// getElem reads element index; arr is the caller's load of c.arr. A word
+// element is boxed here, straight from the atomic load, so the 48-byte
+// Value is not copied back through one more call: that copy cost a third
+// of BenchmarkT2_ElemGetShared/value.
 func (c *cell) getElem(arr *value.Array, index int) (value.Value, error) {
 	if arr.WordElems() {
-		return arr.LoadWord(index)
+		bits, err := arr.LoadBits(index)
+		if err != nil {
+			return value.NOOB, err
+		}
+		if arr.Elem() == value.Numbr {
+			return value.NewNumbr(int64(bits)), nil
+		}
+		return value.NewNumbar(math.Float64frombits(bits)), nil
 	}
 	c.lock()
 	v, err := c.arr.Load().GetChecked(index)
@@ -194,7 +205,15 @@ func (pe *PE) Get(target, slot int) (value.Value, error) {
 	return v, nil
 }
 
+// arrayAt makes the checks every array operation makes and returns pe's
+// instance of slot.
 func (w *World) arrayAt(pe, slot int) (*cell, *value.Array, error) {
+	if err := w.checkPE(pe); err != nil {
+		return nil, nil, err
+	}
+	if err := w.checkSlot(slot); err != nil {
+		return nil, nil, err
+	}
 	c := w.cellAt(pe, slot)
 	arr := c.arr.Load()
 	if arr == nil {
@@ -207,14 +226,7 @@ func (w *World) arrayAt(pe, slot int) (*cell, *value.Array, error) {
 
 // PutElem writes one array element into target's instance of slot.
 func (pe *PE) PutElem(target, slot, index int, v value.Value) error {
-	w := pe.w
-	if err := w.checkPE(target); err != nil {
-		return err
-	}
-	if err := w.checkSlot(slot); err != nil {
-		return err
-	}
-	c, arr, err := w.arrayAt(target, slot)
+	c, arr, err := pe.w.arrayAt(target, slot)
 	if err != nil {
 		return err
 	}
@@ -224,14 +236,7 @@ func (pe *PE) PutElem(target, slot, index int, v value.Value) error {
 
 // GetElem reads one array element from target's instance of slot.
 func (pe *PE) GetElem(target, slot, index int) (value.Value, error) {
-	w := pe.w
-	if err := w.checkPE(target); err != nil {
-		return value.NOOB, err
-	}
-	if err := w.checkSlot(slot); err != nil {
-		return value.NOOB, err
-	}
-	c, arr, err := w.arrayAt(target, slot)
+	c, arr, err := pe.w.arrayAt(target, slot)
 	if err != nil {
 		return value.NOOB, err
 	}
@@ -239,17 +244,56 @@ func (pe *PE) GetElem(target, slot, index int) (value.Value, error) {
 	return c.getElem(arr, index)
 }
 
+// getWord is the read behind the typed gets: GetElem's checks, its
+// charge, count and trace when the get is one-sided, and the atomic load
+// it makes of a word element. It also fails on an array whose elements
+// are not words, and on an array of the other word type.
+func (pe *PE) getWord(target, slot, index int, want value.Kind, oneSided bool) (uint64, error) {
+	_, arr, err := pe.w.arrayAt(target, slot)
+	if err != nil {
+		return 0, err
+	}
+	if oneSided {
+		pe.accountGet(target, slot, elemBytes(arr.Elem()))
+	}
+	bits, err := arr.LoadBits(index)
+	if err == nil && arr.Elem() != want {
+		err = fmt.Errorf("shmem: %s is an array of %v, not %v", pe.w.syms[slot].Name, arr.Elem(), want)
+	}
+	return bits, err
+}
+
+// GetNumbar reads one element of target's NUMBAR array instance of slot,
+// unboxed: the analogue of OpenSHMEM's shmem_double_g. It checks,
+// charges, counts and traces exactly as GetElem does.
+func (pe *PE) GetNumbar(target, slot, index int) (float64, error) {
+	bits, err := pe.getWord(target, slot, index, value.Numbar, true)
+	return math.Float64frombits(bits), err
+}
+
+// GetNumbr reads one element of target's NUMBR array instance of slot,
+// unboxed: the analogue of shmem_long_g.
+func (pe *PE) GetNumbr(target, slot, index int) (int64, error) {
+	bits, err := pe.getWord(target, slot, index, value.Numbr, true)
+	return int64(bits), err
+}
+
+// LocalGetNumbar is LocalGetElem for a NUMBAR array, unboxed.
+func (pe *PE) LocalGetNumbar(slot, index int) (float64, error) {
+	bits, err := pe.getWord(pe.id, slot, index, value.Numbar, false)
+	return math.Float64frombits(bits), err
+}
+
+// LocalGetNumbr is LocalGetElem for a NUMBR array, unboxed.
+func (pe *PE) LocalGetNumbr(slot, index int) (int64, error) {
+	bits, err := pe.getWord(pe.id, slot, index, value.Numbr, false)
+	return int64(bits), err
+}
+
 // GetArray reads a deep copy of target's whole array instance (the paper's
 // `MAH array R UR array` bulk transfer).
 func (pe *PE) GetArray(target, slot int) (*value.Array, error) {
-	w := pe.w
-	if err := w.checkPE(target); err != nil {
-		return nil, err
-	}
-	if err := w.checkSlot(slot); err != nil {
-		return nil, err
-	}
-	c, _, err := w.arrayAt(target, slot)
+	c, _, err := pe.w.arrayAt(target, slot)
 	if err != nil {
 		return nil, err
 	}
@@ -262,14 +306,7 @@ func (pe *PE) GetArray(target, slot int) (*value.Array, error) {
 
 // PutArray overwrites target's whole array instance with a copy of src.
 func (pe *PE) PutArray(target, slot int, src *value.Array) error {
-	w := pe.w
-	if err := w.checkPE(target); err != nil {
-		return err
-	}
-	if err := w.checkSlot(slot); err != nil {
-		return err
-	}
-	c, _, err := w.arrayAt(target, slot)
+	c, _, err := pe.w.arrayAt(target, slot)
 	if err != nil {
 		return err
 	}
@@ -291,9 +328,6 @@ func (pe *PE) PutArray(target, slot int, src *value.Array) error {
 // NUMBAR element is one atomic load without the cell mutex, any other
 // element is read under it.
 func (pe *PE) LocalGetElem(slot, index int) (value.Value, error) {
-	if err := pe.w.checkSlot(slot); err != nil {
-		return value.NOOB, err
-	}
 	c, arr, err := pe.w.arrayAt(pe.id, slot)
 	if err != nil {
 		return value.NOOB, err
@@ -304,9 +338,6 @@ func (pe *PE) LocalGetElem(slot, index int) (value.Value, error) {
 // LocalSetElem writes one element of this PE's own array instance under
 // the cell lock (zero simulated cost).
 func (pe *PE) LocalSetElem(slot, index int, v value.Value) error {
-	if err := pe.w.checkSlot(slot); err != nil {
-		return err
-	}
 	c, _, err := pe.w.arrayAt(pe.id, slot)
 	if err != nil {
 		return err

@@ -308,8 +308,9 @@ func TestArrayPutGet(t *testing.T) {
 	}
 }
 
-// TestHeapWordsNeverTear runs element gets and puts, length-changing
-// PutArray and GetArray from every PE on one NUMBAR and one NUMBR array,
+// TestHeapWordsNeverTear runs element gets (boxed and typed) and puts,
+// length-changing PutArray and GetArray from every PE on one NUMBAR and
+// one NUMBR array,
 // with no barrier after allocation: every value read must be one that
 // some PE wrote. Element reads take no lock, so under -race this also
 // fails if any element write is a plain store.
@@ -352,10 +353,31 @@ func TestHeapWordsNeverTear(t *testing.T) {
 		if err := pe.Barrier(); err != nil {
 			return err
 		}
-		check := func(op string, v value.Value) {
-			if b := bits(v); !written(b) {
+		check := func(op string, b uint64) {
+			if !written(b) {
 				t.Errorf("PE %d: %s read %#x, which no PE wrote", pe.ID(), op, b)
 			}
+		}
+		// typedGet reads through the typed get for slot's element type.
+		typedGet := func(target, slot, idx int, local bool) (uint64, error) {
+			if syms[slot].Elem == value.Numbar {
+				var f float64
+				var err error
+				if local {
+					f, err = pe.LocalGetNumbar(slot, idx)
+				} else {
+					f, err = pe.GetNumbar(target, slot, idx)
+				}
+				return math.Float64bits(f), err
+			}
+			var n int64
+			var err error
+			if local {
+				n, err = pe.LocalGetNumbr(slot, idx)
+			} else {
+				n, err = pe.GetNumbr(target, slot, idx)
+			}
+			return uint64(n), err
 		}
 		for k := 0; k < iters; k++ {
 			slot, idx := k%len(syms), k%size
@@ -367,11 +389,20 @@ func TestHeapWordsNeverTear(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			check("GetElem", v)
+			check("GetElem", bits(v))
 			if v, err = pe.LocalGetElem(slot, (idx+2)%size); err != nil {
 				return err
 			}
-			check("LocalGetElem", v)
+			check("LocalGetElem", bits(v))
+			b, err := typedGet(target, slot, (idx+3)%size, false)
+			if err != nil {
+				return err
+			}
+			check("typed get", b)
+			if b, err = typedGet(target, slot, (idx+4)%size, true); err != nil {
+				return err
+			}
+			check("local typed get", b)
 			switch k % 32 {
 			case 0, 1: // one whole-array put per slot
 				// Lengths cycle through size..size+3, so indexes below
@@ -394,7 +425,7 @@ func TestHeapWordsNeverTear(t *testing.T) {
 					return err
 				}
 				for i := 0; i < arr.Len(); i++ {
-					check("GetArray", arr.Get(i))
+					check("GetArray", bits(arr.Get(i)))
 				}
 			}
 		}

@@ -7,9 +7,16 @@
 // every PE (the paper's Figure 1); a remote reference is a (pe, slot)
 // pair. As on one-sided hardware, reading a NUMBR or NUMBAR array element
 // is one atomic word load that takes no lock; every other access locks
-// the target cell. A pluggable cost model (see internal/machine) charges
-// simulated nanoseconds to the calling PE for every one-sided operation,
-// so programs report hardware-shaped timing without the hardware.
+// the target cell. GetElem returns the element boxed as a value.Value,
+// which is what the in-process engines hold. GetNumbar and GetNumbr (and
+// their Local forms) return it unboxed, as float64 and int64: they are
+// the analogue of OpenSHMEM's shmem_double_g and shmem_long_g, the typed
+// gets the paper's lcc emits, and gogen-emitted programs call them. Both
+// kinds of get make the same checks, charge, count and trace alike, and
+// read through the same atomic load. A pluggable cost model (see
+// internal/machine) charges simulated nanoseconds to the calling PE for
+// every one-sided operation, so programs report hardware-shaped timing
+// without the hardware.
 //
 // A world executes in one of two modes, which share every wait
 // structure and differ only in who waits on a parked task. A blocking

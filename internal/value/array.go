@@ -213,7 +213,7 @@ func (a *Array) Troofs() []bool { return a.b }
 // WordElems reports whether each element is one 64-bit word (NUMBR or
 // NUMBAR): the arrays the atomic word accessors below accept. The PGAS
 // runtime reads such an element with one atomic load while other PEs
-// store to the array, so every store a concurrent LoadWord may observe
+// store to the array, so every store a concurrent LoadBits may observe
 // must go through StoreWord.
 func (a *Array) WordElems() bool { return a.elem == Numbr || a.elem == Numbar }
 
@@ -224,19 +224,20 @@ func (a *Array) errNotWords() error {
 // numbarWord views NUMBAR element i as the uint64 sync/atomic operates on.
 func (a *Array) numbarWord(i int) *uint64 { return (*uint64)(unsafe.Pointer(&a.f[i])) }
 
-// LoadWord atomically loads element i of a NUMBR or NUMBAR array, or
-// returns an *IndexError.
-func (a *Array) LoadWord(i int) (Value, error) {
+// LoadBits atomically loads the 64 bits of element i of a NUMBR or NUMBAR
+// array: the int64 of a NUMBR, the IEEE-754 bits of a NUMBAR. It returns
+// an *IndexError for an index out of range.
+func (a *Array) LoadBits(i int) (uint64, error) {
 	if !a.WordElems() {
-		return NOOB, a.errNotWords()
+		return 0, a.errNotWords()
 	}
 	if err := a.check(i); err != nil {
-		return NOOB, err
+		return 0, err
 	}
 	if a.elem == Numbr {
-		return NewNumbr(atomic.LoadInt64(&a.n[i])), nil
+		return uint64(atomic.LoadInt64(&a.n[i])), nil
 	}
-	return NewNumbar(math.Float64frombits(atomic.LoadUint64(a.numbarWord(i)))), nil
+	return atomic.LoadUint64(a.numbarWord(i)), nil
 }
 
 // StoreWord is Set for NUMBR and NUMBAR arrays with an atomic store: it

@@ -362,8 +362,9 @@ func TestArrayOfNoobRejected(t *testing.T) {
 	}
 }
 
-// StoreWord and LoadWord must behave exactly like Set and Get: the same
-// casts, the same IndexError and cast errors.
+// StoreWord and LoadBits must behave exactly like Set and Get: the same
+// casts, the same IndexError and cast errors, and the bits of the value
+// GetChecked returns.
 func TestArrayWordAccessorsMatchSet(t *testing.T) {
 	inputs := []Value{NewNumbr(7), NewNumbar(-2.5), NewYarn("3"), NewYarn("nope"), NewTroof(true), NOOB}
 	for _, k := range []Kind{Numbr, Numbar} {
@@ -375,18 +376,22 @@ func TestArrayWordAccessorsMatchSet(t *testing.T) {
 				if fmt.Sprint(perr) != fmt.Sprint(werr) {
 					t.Errorf("%v[%d] = %v: Set error %v, StoreWord error %v", k, i, v, perr, werr)
 				}
-				got, err := word.LoadWord(i)
 				want, gerr := plain.GetChecked(i)
-				if got != want || fmt.Sprint(err) != fmt.Sprint(gerr) {
-					t.Errorf("%v[%d] = %v: LoadWord %v, %v; GetChecked %v, %v", k, i, v, got, err, want, gerr)
+				bits, berr := word.LoadBits(i)
+				wantBits := uint64(want.Numbr())
+				if k == Numbar {
+					wantBits = math.Float64bits(want.Numbar())
+				}
+				if bits != wantBits || fmt.Sprint(berr) != fmt.Sprint(gerr) {
+					t.Errorf("%v[%d] = %v: LoadBits %#x, %v; want %#x, %v", k, i, v, bits, berr, wantBits, gerr)
 				}
 			}
 		}
 	}
 	// Arrays of other element types have no words to load or store.
 	yarns, _ := NewArrayOf(Yarn, 1)
-	if _, err := yarns.LoadWord(0); err == nil {
-		t.Error("LoadWord on a YARN array succeeded")
+	if _, err := yarns.LoadBits(0); err == nil {
+		t.Error("LoadBits on a YARN array succeeded")
 	}
 	if err := yarns.StoreWord(0, NewNumbr(1)); err == nil {
 		t.Error("StoreWord on a YARN array succeeded")
