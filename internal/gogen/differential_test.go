@@ -148,9 +148,11 @@ func TestGogenProgenDifferential(t *testing.T) {
 				cmd := exec.Command(filepath.Join(binDir, c.name),
 					"-serve", "-no-sandbox", "-np", fmt.Sprint(np), "-seed", fmt.Sprint(seed))
 				cmd.Stdin = strings.NewReader(c.stdin)
+				var stderr strings.Builder
+				cmd.Stderr = &stderr
 				raw, err := cmd.Output()
 				if err != nil {
-					t.Fatalf("np %d: binary failed: %v", np, err)
+					t.Fatalf("np %d: binary failed: %v\n%s", np, err, stderr.String())
 				}
 				var got child.Result
 				if err := json.Unmarshal(raw, &got); err != nil {
