@@ -160,18 +160,19 @@ func TestCompileErrorsCarryPositions(t *testing.T) {
 }
 
 // TestSpecializationAblationAgrees runs the same programs with and without
-// the typed fast paths; outputs must be identical (the ablation changes
-// speed, never semantics).
+// the typed fast paths; outputs and runtime errors must be identical (the
+// ablation changes speed, never semantics). A program with wantErr must
+// fail with it on both paths.
 func TestSpecializationAblationAgrees(t *testing.T) {
-	sources := []string{
-		`HAI 1.2
+	sources := []struct{ src, wantErr string }{
+		{src: `HAI 1.2
 I HAS A acc ITZ SRSLY A NUMBAR AN ITZ 0.0
 IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 100
   acc R SUM OF acc AN FLIP OF SUM OF i AN 1
 IM OUTTA YR l
 VISIBLE acc
-KTHXBYE`,
-		`HAI 1.2
+KTHXBYE`},
+		{src: `HAI 1.2
 I HAS A a ITZ LOTZ A NUMBARS AN THAR IZ 8
 IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 8
   a'Z i R PRODUKT OF i AN 1.5
@@ -179,10 +180,38 @@ IM OUTTA YR l
 VISIBLE a'Z 7
 VISIBLE QUOSHUNT OF -3 AN 7
 VISIBLE QUOSHUNT OF PRODUKT OF 1.0 AN -3 AN 7
-KTHXBYE`,
+KTHXBYE`},
+		// Inferred NUMBR and NUMBAR privates take the typed closures.
+		{src: `HAI 1.2
+I HAS A darts ITZ A NUMBR AN ITZ 50
+I HAS A insider ITZ 0
+I HAS A x ITZ SRSLY A NUMBAR
+I HAS A area ITZ 0.0
+IM IN YR l UPPIN YR i TIL BOTH SAEM i AN darts
+  x R WHATEVAR
+  SMALLR SQUAR OF x AN 0.5, O RLY?
+  YA RLY
+    insider R SUM OF insider AN 1
+  OIC
+  area R SUM OF area AN QUOSHUNT OF x AN darts
+IM OUTTA YR l
+VISIBLE insider " " QUOSHUNT OF -7 AN insider " " area
+KTHXBYE`},
+		// SRS stores cast into a SRSLY private, but may store any kind
+		// into a plain one.
+		{src: `HAI 1.2
+I HAS A s ITZ SRSLY A NUMBR AN ITZ 1
+SRS "s" R "7"
+VISIBLE SUM OF s AN 1
+I HAS A n ITZ 3
+I HAS A name ITZ "n"
+SRS name R "abc"
+VISIBLE n
+VISIBLE SUM OF n AN 1
+KTHXBYE`, wantErr: `SUM OF: YARN "abc" is not a NUMBR`},
 	}
-	for i, src := range sources {
-		tree, err := parser.Parse("t.lol", src)
+	for i, c := range sources {
+		tree, err := parser.Parse("t.lol", c.src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,8 +226,12 @@ KTHXBYE`,
 				t.Fatal(err)
 			}
 			var out strings.Builder
-			if _, err := p.Run(interp.Config{NP: 1, Stdout: &out, GroupOutput: true}); err != nil {
+			_, err = p.Run(interp.Config{NP: 1, Stdout: &out, GroupOutput: true})
+			switch {
+			case c.wantErr == "" && err != nil:
 				t.Fatal(err)
+			case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+				t.Fatalf("program %d (specialized=%v): error %v, want %q", i, j == 0, err, c.wantErr)
 			}
 			outs[j] = out.String()
 		}

@@ -11,16 +11,18 @@ import (
 
 // This file implements the typed fast paths that make the closure backend a
 // real compiler rather than a cached interpreter: expressions whose static
-// type is known (SRSLY-typed variables, loop counters, literals, the
-// Table III math) compile to closures over raw float64/int64, skipping the
-// dynamic value dispatch entirely. The paper's §II.B motivates exactly
-// this: "dynamic typing which we extend to support statically typed
+// type is known (SRSLY-typed and inferred numeric variables, loop counters,
+// literals, the Table III math) compile to closures over raw float64/int64,
+// skipping the dynamic value dispatch entirely. The paper's §II.B motivates
+// exactly this: "dynamic typing which we extend to support statically typed
 // variables as a transition to a compiled ... language".
 //
-// Correctness containment: specialization may only be applied where the
-// static kind is guaranteed by construction — SRSLY scalars are cast on
-// every write, loop counters are always NUMBRs, typed array elements are
-// cast by Array.Set. The differential test suite runs both backends on
+// Correctness containment: the compiler decides no kinds itself. It reads
+// sema's Symbol.Rep and Info.StaticKind, the same facts gogen lowers to
+// raw Go (the sema package doc states the rules). A frame slot whose Rep
+// is RepInt or RepFloat always holds that kind wherever it is read, so
+// its closures unwrap it with no check; a shared SRSLY scalar is read
+// boxed and converted. The differential test suite runs every engine on
 // every program to keep these guarantees honest.
 
 // floatFn evaluates a statically float-valued expression.
@@ -32,92 +34,6 @@ type intFn func(*env) (int64, error)
 // boolFn evaluates a statically TROOF-valued expression.
 type boolFn func(*env) (bool, error)
 
-// staticKind infers the runtime kind of e when it is statically known.
-func (c *compiler) staticKind(e ast.Expr) (value.Kind, bool) {
-	switch n := e.(type) {
-	case *ast.NumbrLit:
-		return value.Numbr, true
-	case *ast.NumbarLit:
-		return value.Numbar, true
-	case *ast.TroofLit:
-		return value.Troof, true
-	case *ast.NoobLit:
-		return value.Noob, true
-	case *ast.YarnLit:
-		if len(n.Segs) <= 1 && (len(n.Segs) == 0 || n.Segs[0].Var == "") {
-			return value.Yarn, true
-		}
-		return value.Yarn, true // interpolation still yields a YARN
-	case *ast.Me, *ast.MahFrenz, *ast.Whatevr:
-		return value.Numbr, true
-	case *ast.Whatevar:
-		return value.Numbar, true
-	case *ast.VarRef:
-		sym, err := c.resolve(n)
-		if err != nil {
-			return 0, false
-		}
-		if sym.Kind == sema.SymLoopVar {
-			return value.Numbr, true
-		}
-		if sym.Static && !sym.IsArray {
-			return sym.Type, true
-		}
-		return 0, false
-	case *ast.Index:
-		sym, err := c.resolve(n.Arr)
-		if err != nil {
-			return 0, false
-		}
-		if sym.IsArray && sym.Type != value.Noob {
-			return sym.Type, true
-		}
-		return 0, false
-	case *ast.BinExpr:
-		switch n.Op {
-		case value.OpBothSaem, value.OpDiffrint, value.OpBigger, value.OpSmallr,
-			value.OpBothOf, value.OpEitherOf, value.OpWonOf:
-			return value.Troof, true
-		}
-		xk, xok := c.staticKind(n.X)
-		yk, yok := c.staticKind(n.Y)
-		if !xok || !yok || !isNumericKind(xk) || !isNumericKind(yk) {
-			return 0, false
-		}
-		if xk == value.Numbar || yk == value.Numbar {
-			return value.Numbar, true
-		}
-		return value.Numbr, true
-	case *ast.UnExpr:
-		switch n.Op {
-		case value.OpNot:
-			return value.Troof, true
-		case value.OpUnsquar, value.OpFlip:
-			return value.Numbar, true
-		case value.OpSquar:
-			k, ok := c.staticKind(n.X)
-			if ok && isNumericKind(k) {
-				return k, true
-			}
-			return 0, false
-		}
-		return 0, false
-	case *ast.NaryExpr:
-		switch n.Op {
-		case value.OpAllOf, value.OpAnyOf:
-			return value.Troof, true
-		case value.OpSmoosh:
-			return value.Yarn, true
-		}
-		return 0, false
-	case *ast.CastExpr:
-		return n.Type, true
-	}
-	return 0, false
-}
-
-func isNumericKind(k value.Kind) bool { return k == value.Numbr || k == value.Numbar }
-
 // floatExpr compiles e to a raw-float closure when its static kind is
 // numeric and its structure is supported. The bool result reports success.
 //
@@ -125,8 +41,8 @@ func isNumericKind(k value.Kind) bool { return k == value.Numbr || k == value.Nu
 // semantics (QUOSHUNT OF -3 AN 7 is 0, not -0.43) and is compiled through
 // intExpr, then widened — exactly how the dynamic evaluator behaves.
 func (c *compiler) floatExpr(e ast.Expr) (floatFn, bool) {
-	k, ok := c.staticKind(e)
-	if !ok || !isNumericKind(k) {
+	k, ok := c.info.StaticKind(e)
+	if !ok {
 		return nil, false
 	}
 	if k == value.Numbr {
@@ -140,22 +56,9 @@ func (c *compiler) floatExpr(e ast.Expr) (floatFn, bool) {
 		}, true
 	}
 	switch n := e.(type) {
-	case *ast.NumbrLit:
-		f := float64(n.Value)
-		return func(*env) (float64, error) { return f, nil }, true
-
 	case *ast.NumbarLit:
 		f := n.Value
 		return func(*env) (float64, error) { return f, nil }, true
-
-	case *ast.Me:
-		return func(e *env) (float64, error) { return float64(e.pe.ID()), nil }, true
-
-	case *ast.MahFrenz:
-		return func(e *env) (float64, error) { return float64(e.pe.NPEs()), nil }, true
-
-	case *ast.Whatevr:
-		return func(e *env) (float64, error) { return float64(e.pe.Rand().Int63n(1 << 31)), nil }, true
 
 	case *ast.Whatevar:
 		return func(e *env) (float64, error) { return e.pe.Rand().Float64(), nil }, true
@@ -310,66 +213,38 @@ func (c *compiler) floatExpr(e ast.Expr) (floatFn, bool) {
 	return nil, false
 }
 
-// floatVar compiles a numeric static variable reference to a raw read.
+// floatVar compiles a read of a NUMBAR variable: a RepFloat slot, or a
+// shared SRSLY NUMBAR scalar read boxed and converted.
 func (c *compiler) floatVar(n *ast.VarRef) (floatFn, bool) {
 	sym, err := c.resolve(n)
 	if err != nil {
 		return nil, false
 	}
-	pos := n.Position
-	if sym.Kind == sema.SymLoopVar {
-		// A body may reassign its counter to anything; fall back to the
-		// dynamic conversion (and its diagnostic) when that happens.
-		slot := sym.Slot
-		return func(e *env) (float64, error) {
-			v := e.frame[slot]
-			if v.Kind() == value.Numbr {
-				return float64(v.Numbr()), nil
-			}
-			f, err := v.ToNumbar()
-			return f, rerr(pos, err)
-		}, true
-	}
-	if !sym.Static || sym.IsArray {
-		return nil, false
-	}
-	switch {
-	case sym.Kind != sema.SymShared && sym.Type == value.Numbar:
+	if sym.Kind != sema.SymShared {
 		slot := sym.Slot
 		return func(e *env) (float64, error) { return e.frame[slot].Numbar(), nil }, true
-	case sym.Kind != sema.SymShared && sym.Type == value.Numbr:
-		slot := sym.Slot
-		return func(e *env) (float64, error) { return float64(e.frame[slot].Numbr()), nil }, true
-	case sym.Kind == sema.SymShared && isNumericKind(sym.Type):
-		heap := sym.Heap
-		sp := n.Space
-		return func(e *env) (float64, error) {
-			var v value.Value
-			var err error
-			if sp == ast.SpaceUr {
-				t, terr := e.predTarget(pos)
-				if terr != nil {
-					return 0, terr
-				}
-				v, err = e.pe.Get(t, heap)
-			} else {
-				v, err = e.pe.LocalGet(heap)
-			}
-			if err != nil {
-				return 0, rerr(pos, err)
-			}
-			return v.ToNumbar()
-		}, true
 	}
-	return nil, false
+	read, err := c.readVar(n)
+	if err != nil {
+		return nil, false
+	}
+	pos := n.Position
+	return func(e *env) (float64, error) {
+		v, err := read(e)
+		if err != nil {
+			return 0, err
+		}
+		f, err := v.ToNumbar()
+		return f, rerr(pos, err)
+	}, true
 }
 
-// floatIndex compiles typed-array element reads: private NUMBAR/NUMBR
-// arrays read straight from the backing slice; shared arrays go through
-// GetElem or LocalGetElem once per access.
+// floatIndex compiles NUMBAR array element reads: private arrays read
+// straight from the backing slice; shared arrays go through GetElem or
+// LocalGetElem once per access. (NUMBR elements take intIndex.)
 func (c *compiler) floatIndex(n *ast.Index) (floatFn, bool) {
 	sym, err := c.resolve(n.Arr)
-	if err != nil || !sym.IsArray || !isNumericKind(sym.Type) {
+	if err != nil || !sym.IsArray || sym.Type != value.Numbar {
 		return nil, false
 	}
 	idx, iok := c.intExpr(n.IndexE)
@@ -393,7 +268,6 @@ func (c *compiler) floatIndex(n *ast.Index) (floatFn, bool) {
 		}
 	}
 	pos := n.Position
-	isFloat := sym.Type == value.Numbar
 
 	if sym.Kind != sema.SymShared {
 		slot := sym.Slot
@@ -411,10 +285,7 @@ func (c *compiler) floatIndex(n *ast.Index) (floatFn, bool) {
 			if i < 0 || int(i) >= arr.Len() {
 				return 0, rerr(pos, &value.IndexError{Index: int(i), Len: arr.Len()})
 			}
-			if isFloat {
-				return arr.Numbars()[i], nil
-			}
-			return float64(arr.Numbrs()[i]), nil
+			return arr.Numbars()[i], nil
 		}, true
 	}
 
@@ -442,16 +313,13 @@ func (c *compiler) floatIndex(n *ast.Index) (floatFn, bool) {
 		if err != nil {
 			return 0, rerr(pos, err)
 		}
-		if isFloat {
-			return v.Numbar(), nil
-		}
-		return float64(v.Numbr()), nil
+		return v.Numbar(), nil
 	}, true
 }
 
 // intExpr compiles e to a raw-int closure when it is statically a NUMBR.
 func (c *compiler) intExpr(e ast.Expr) (intFn, bool) {
-	k, ok := c.staticKind(e)
+	k, ok := c.info.StaticKind(e)
 	if !ok || k != value.Numbr {
 		return nil, false
 	}
@@ -470,41 +338,23 @@ func (c *compiler) intExpr(e ast.Expr) (intFn, bool) {
 		if err != nil {
 			return nil, false
 		}
-		pos := n.Position
-		if sym.Kind == sema.SymLoopVar ||
-			(sym.Kind != sema.SymShared && sym.Static && !sym.IsArray && sym.Type == value.Numbr) {
+		if sym.Kind != sema.SymShared {
 			slot := sym.Slot
-			return func(e *env) (int64, error) {
-				v := e.frame[slot]
-				if v.Kind() == value.Numbr {
-					return v.Numbr(), nil
-				}
-				i, err := v.ToNumbr()
-				return i, rerr(pos, err)
-			}, true
+			return func(e *env) (int64, error) { return e.frame[slot].Numbr(), nil }, true
 		}
-		if sym.Kind == sema.SymShared && sym.Static && !sym.IsArray && sym.Type == value.Numbr {
-			heap := sym.Heap
-			sp := n.Space
-			return func(e *env) (int64, error) {
-				var v value.Value
-				var err error
-				if sp == ast.SpaceUr {
-					t, terr := e.predTarget(pos)
-					if terr != nil {
-						return 0, terr
-					}
-					v, err = e.pe.Get(t, heap)
-				} else {
-					v, err = e.pe.LocalGet(heap)
-				}
-				if err != nil {
-					return 0, rerr(pos, err)
-				}
-				return v.ToNumbr()
-			}, true
+		read, err := c.readVar(n)
+		if err != nil {
+			return nil, false
 		}
-		return nil, false
+		pos := n.Position
+		return func(e *env) (int64, error) {
+			v, err := read(e)
+			if err != nil {
+				return 0, err
+			}
+			i, err := v.ToNumbr()
+			return i, rerr(pos, err)
+		}, true
 	case *ast.Index:
 		return c.intIndex(n)
 	case *ast.UnExpr:
@@ -738,9 +588,9 @@ func (c *compiler) boolExpr(e ast.Expr) (boolFn, bool) {
 	}
 	switch n.Op {
 	case value.OpBothSaem, value.OpDiffrint, value.OpBigger, value.OpSmallr:
-		xk, xok := c.staticKind(n.X)
-		yk, yok := c.staticKind(n.Y)
-		if !xok || !yok || !isNumericKind(xk) || !isNumericKind(yk) {
+		xk, xok := c.info.StaticKind(n.X)
+		yk, yok := c.info.StaticKind(n.Y)
+		if !xok || !yok {
 			return nil, false
 		}
 		// Two int-kind operands compare as int64 (float64 loses precision
@@ -817,15 +667,12 @@ func (c *compiler) boolExpr(e ast.Expr) (boolFn, bool) {
 }
 
 // specializedExpr wraps a typed fast path back into the generic exprFn
-// interface; used when a statically numeric expression appears in a
-// dynamic context.
+// interface; used when a statically numeric expression or a numeric
+// comparison appears in a dynamic context.
 func (c *compiler) specializedExpr(e ast.Expr) (exprFn, bool) {
-	k, ok := c.staticKind(e)
-	if !ok {
-		return nil, false
-	}
-	switch k {
-	case value.Numbr:
+	k, ok := c.info.StaticKind(e)
+	switch {
+	case ok && k == value.Numbr:
 		if fn, ok := c.intExpr(e); ok {
 			return func(e *env) (value.Value, error) {
 				n, err := fn(e)
@@ -835,7 +682,7 @@ func (c *compiler) specializedExpr(e ast.Expr) (exprFn, bool) {
 				return value.NewNumbr(n), nil
 			}, true
 		}
-	case value.Numbar:
+	case ok:
 		if fn, ok := c.floatExpr(e); ok {
 			return func(e *env) (value.Value, error) {
 				f, err := fn(e)
@@ -845,7 +692,7 @@ func (c *compiler) specializedExpr(e ast.Expr) (exprFn, bool) {
 				return value.NewNumbar(f), nil
 			}, true
 		}
-	case value.Troof:
+	default:
 		if fn, ok := c.boolExpr(e); ok {
 			return func(e *env) (value.Value, error) {
 				b, err := fn(e)
@@ -860,17 +707,17 @@ func (c *compiler) specializedExpr(e ast.Expr) (exprFn, bool) {
 }
 
 // specializedAssign builds a fast store for `target R value` when both
-// sides have known numeric types: static scalars and typed array elements
+// sides have known numeric types: raw-Rep scalars and typed array elements
 // skip the dynamic cast machinery.
 func (c *compiler) specializedAssign(n *ast.Assign) (stmtFn, bool) {
 	switch target := n.Target.(type) {
 	case *ast.VarRef:
 		sym, err := c.resolve(target)
-		if err != nil || sym.Kind == sema.SymShared || sym.IsArray || !sym.Static {
+		if err != nil {
 			return nil, false
 		}
-		switch sym.Type {
-		case value.Numbar:
+		switch sym.Rep {
+		case sema.RepFloat:
 			fx, ok := c.floatExpr(n.Value)
 			if !ok {
 				return nil, false
@@ -884,7 +731,7 @@ func (c *compiler) specializedAssign(n *ast.Assign) (stmtFn, bool) {
 				e.frame[slot] = value.NewNumbar(f)
 				return ctrlNone, nil
 			}, true
-		case value.Numbr:
+		case sema.RepInt:
 			fx, ok := c.intExpr(n.Value)
 			if !ok {
 				return nil, false

@@ -2,22 +2,25 @@ package gogen
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/interp"
 	"repro/internal/native/child"
 	"repro/internal/progen"
 )
 
-// nativeEdges are the programs where an unboxed lowering could go wrong:
-// each one either must keep a variable boxed or checks that a raw one
-// behaves like its boxed twin.
-var nativeEdges = []struct {
+// kindEdges are the programs where a static-kind decision could go
+// wrong: each one either must keep a variable boxed or checks that a raw
+// one behaves like its boxed twin. TestKindEdgesInProcess runs them on
+// every in-process engine, TestGogenProgenDifferential natively.
+var kindEdges = []struct {
 	name, src, stdin string
 }{
 	{name: "noob_after_oic", src: `HAI 1.2
@@ -99,6 +102,68 @@ VISIBLE "q=:{q}"
 VISIBLE QUOSHUNT OF q AN 0
 VISIBLE "unreached"
 KTHXBYE`},
+	{name: "srsly_numbar_after_oic", src: `HAI 1.2
+BOTH SAEM 1 AN 2, O RLY?
+YA RLY
+  I HAS A x ITZ SRSLY A NUMBAR AN ITZ 5.0
+OIC
+VISIBLE SUM OF x AN 1.5
+KTHXBYE`},
+	{name: "srsly_numbr_after_zero_trip", src: `HAI 1.2
+IM IN YR l UPPIN YR k TIL BOTH SAEM k AN 0
+  I HAS A z ITZ SRSLY A NUMBR AN ITZ 7
+IM OUTTA YR l
+VISIBLE SUM OF z AN 1
+KTHXBYE`},
+	{name: "srs_write", src: `HAI 1.2
+I HAS A n ITZ 3
+I HAS A name ITZ "n"
+SRS name R "abc"
+VISIBLE n
+VISIBLE SUM OF n AN 1
+KTHXBYE`},
+}
+
+// TestKindEdgesInProcess runs every edge on every registered in-process
+// engine at NP 1 and 4 under a step budget, and requires interp's
+// grouped output bytes, its ok/error outcome and its runtime error
+// message. Positions are not compared: the vm reports a fused op at its
+// first operand.
+func TestKindEdgesInProcess(t *testing.T) {
+	ref, err := backend.ByName("interp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range kindEdges {
+		prog, err := core.Parse(e.name+".lol", e.src)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", e.name, err)
+		}
+		for _, np := range []int{1, 4} {
+			run := func(b backend.Backend) (out, msg string) {
+				var buf strings.Builder
+				_, err := b.Run(prog.Info, backend.Config{
+					NP: np, Seed: 2017, Stdout: &buf, Stdin: strings.NewReader(e.stdin),
+					GroupOutput: true, StepBudget: 1_000_000,
+				})
+				var re *backend.RuntimeError
+				switch {
+				case errors.As(err, &re):
+					return buf.String(), "error: " + re.Err.Error()
+				case err != nil:
+					return buf.String(), "error: " + err.Error()
+				}
+				return buf.String(), "ok"
+			}
+			wantOut, wantMsg := run(ref)
+			for _, b := range backend.All() {
+				if gotOut, gotMsg := run(b); gotOut != wantOut || gotMsg != wantMsg {
+					t.Errorf("%s np %d: %s printed %q (%s), interp printed %q (%s)",
+						e.name, np, b.Name(), gotOut, gotMsg, wantOut, wantMsg)
+				}
+			}
+		}
+	}
 }
 
 // TestGogenProgenDifferential runs generated programs and the edge table
@@ -121,7 +186,7 @@ func TestGogenProgenDifferential(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		cases = append(cases, kase{name: fmt.Sprintf("progen%02d", i), src: progen.New(int64(i)).Program(40)})
 	}
-	for _, e := range nativeEdges {
+	for _, e := range kindEdges {
 		cases = append(cases, kase{name: e.name, src: e.src, stdin: e.stdin})
 	}
 	mains := map[string][]byte{}
@@ -133,6 +198,9 @@ func TestGogenProgenDifferential(t *testing.T) {
 		}
 		out, err := Emit(prog.Info)
 		if err != nil {
+			if strings.Contains(err.Error(), "SRS") && strings.Contains(c.src, "SRS") {
+				continue // the documented static-lowering limitation
+			}
 			t.Fatalf("%s: emit: %v\n%s", c.name, err, c.src)
 		}
 		c.prog = prog
@@ -141,6 +209,9 @@ func TestGogenProgenDifferential(t *testing.T) {
 	binDir := buildMains(t, "gen-diff-", mains)
 
 	for _, c := range cases {
+		if c.prog == nil {
+			continue
+		}
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()

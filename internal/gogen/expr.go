@@ -289,10 +289,10 @@ func (g *gen) readVar(n *ast.VarRef) (string, error) {
 		return "", err
 	}
 	if sym.Kind != sema.SymShared {
-		switch g.reps[sym] {
-		case repInt:
+		switch sym.Rep {
+		case sema.RepInt:
 			return fmt.Sprintf("value.NewNumbr(%s)", goName(sym)), nil
-		case repFloat:
+		case sema.RepFloat:
 			return fmt.Sprintf("value.NewNumbar(%s)", goName(sym)), nil
 		}
 		return goName(sym), nil
@@ -321,7 +321,7 @@ func (g *gen) readVar(n *ast.VarRef) (string, error) {
 // indexExpr emits an array index as a raw int64 expression; statically
 // numeric indexes skip the boxed ToNumbr round-trip.
 func (g *gen) indexExpr(e ast.Expr) (string, error) {
-	if k, ok := g.staticNumKind(e); ok {
+	if k, ok := g.info.StaticKind(e); ok {
 		code, _, err := g.emitRaw(e)
 		if err != nil {
 			return "", err
@@ -414,13 +414,10 @@ func (g *gen) storeVar(n *ast.VarRef, v string) error {
 	if err != nil {
 		return err
 	}
-	if r := g.reps[sym]; r != repValue {
+	if sym.Rep != sema.RepBoxed {
 		// Unboxed target: cast to the static kind (the same Cast a boxed
 		// store performs) and keep only the raw payload.
-		want := value.Numbr
-		if r == repFloat {
-			want = value.Numbar
-		}
+		want := repKind(sym.Rep)
 		t, errV := g.tmp(), g.tmp()
 		g.w("%s, %s := value.Cast(%s, value.%s)", t, errV, v, kindName(want))
 		g.failErr(errV)

@@ -16,21 +16,16 @@
 // same binary with -serve is one rung of the server's tier ladder.
 //
 // The lowering is unboxed where the program allows, as lcc's C was
-// (typed.go). A private scalar lives as a raw Go int64 or float64 when
-// its declaration runs before every read of it (it dominates them) and
-// every store keeps its kind:
-//
-//   - SRSLY NUMBR and NUMBAR privates, whose stores cast;
-//   - loop counters the body never assigns;
-//   - other privates whose declaration yields a NUMBR or NUMBAR and
-//     whose every R stores that same kind, never GIMMEH or IS NOW A
-//     targets (inferred by a fixpoint in computeReps).
-//
-// Every other scalar, IT, parameters and shared scalars included, stays
-// a boxed value.Value, so a variable whose declaration did not run still
-// reads as NOOB. Reads of shared NUMBR and NUMBAR array elements use the
-// typed one-sided gets (pe.GetNumbar, pe.LocalGetNumbr, ...), the
-// analogue of shmem_double_g and shmem_long_g, and stay unboxed.
+// (typed.go). Which variables and expressions have a static kind is
+// sema's decision, shared with the closure compiler: a private scalar
+// whose sema.Symbol.Rep is RepInt or RepFloat lives as a raw Go int64 or
+// float64, and sema.Info.StaticKind picks the expressions that lower to
+// raw arithmetic (the sema package doc states the rules). Every other
+// scalar stays a boxed value.Value, so a variable whose declaration did
+// not run still reads as NOOB. Reads of shared NUMBR and NUMBAR array
+// elements use the typed one-sided gets (pe.GetNumbar, pe.LocalGetNumbr,
+// ...), the analogue of shmem_double_g and shmem_long_g, and stay
+// unboxed.
 //
 // Limitation: SRS with a runtime-computed name cannot be lowered to
 // static Go variables and is rejected; the dynamic backends (interp, vm,
@@ -54,7 +49,7 @@ import (
 // result-cache key salt — so bumping it on any change that can alter
 // emitted-program behaviour invalidates stale binaries and stale cached
 // native results in one move. Bump it whenever codegen semantics change.
-const Version = "g4"
+const Version = "g5"
 
 // Check reports whether the program can be lowered by this emitter,
 // without paying for emission: it walks the AST for the constructs the
@@ -80,7 +75,7 @@ func Check(info *sema.Info) error {
 
 // Emit translates the checked program into gofmt-formatted Go source.
 func Emit(info *sema.Info) ([]byte, error) {
-	g := &gen{info: info, reps: computeReps(info)}
+	g := &gen{info: info}
 	src, err := g.program()
 	if err != nil {
 		return nil, err
@@ -96,7 +91,6 @@ func Emit(info *sema.Info) ([]byte, error) {
 
 type gen struct {
 	info *sema.Info
-	reps map[*sema.Symbol]rep // unboxed representation per private scalar
 	buf  strings.Builder
 	ind  int
 	tmpN int
@@ -275,7 +269,7 @@ func (g *gen) declareSlots(scope *sema.Scope) {
 			continue
 		}
 		name := goName(sym)
-		g.w("var %s %s", name, g.goType(sym))
+		g.w("var %s %s", name, goType(sym))
 		g.w("_ = %s", name)
 	}
 }
@@ -306,7 +300,7 @@ func (g *gen) function(fi *sema.FuncInfo) error {
 			continue
 		}
 		name := goName(sym)
-		g.w("var %s %s", name, g.goType(sym))
+		g.w("var %s %s", name, goType(sym))
 		g.w("_ = %s", name)
 	}
 

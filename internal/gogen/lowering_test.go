@@ -5,6 +5,7 @@ package gogen_test
 // generates the kernels, imports gogen.
 
 import (
+	"os"
 	"regexp"
 	"strings"
 	"testing"
@@ -84,5 +85,25 @@ func TestEmitTypedGetsInNBody(t *testing.T) {
 		if strings.Contains(line, "GetElem(") && strings.Contains(line, "slot_pos_") {
 			t.Errorf("boxed element get of a position: %s", strings.TrimSpace(line))
 		}
+	}
+}
+
+// TestEmitConvertsSharedSrslyReads: every store to a shared SRSLY NUMBR
+// casts, so the barrier storm's tally reads UR round with a converting
+// get and lives as int64 with no boxed arithmetic.
+func TestEmitConvertsSharedSrslyReads(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/savina/barrierstorm.lol")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := emitSrc(t, string(src))
+	if got := declType(t, out, "total"); got != "int64" {
+		t.Errorf("total is %s, want int64", got)
+	}
+	if !regexp.MustCompile(`\(t\d+\)\.ToNumbr\(\)`).MatchString(out) {
+		t.Errorf("UR round is not read with a converting get:\n%s", out)
+	}
+	if strings.Contains(out, "value.Binary(") {
+		t.Errorf("barrierstorm still calls value.Binary:\n%s", out)
 	}
 }

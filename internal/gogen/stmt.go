@@ -39,7 +39,7 @@ func (g *gen) stmt(s ast.Stmt) error {
 		// Unboxed targets take the raw RHS directly — the hot-loop form
 		// `x R SUM OF x AN ...` compiles to one Go assignment.
 		if t, ok := n.Target.(*ast.VarRef); ok {
-			if sym, serr := g.symFor(t); serr == nil && g.reps[sym] != repValue {
+			if sym, serr := g.symFor(t); serr == nil && sym.Rep != sema.RepBoxed {
 				return g.storeRaw(sym, n.Value)
 			}
 		}
@@ -202,7 +202,7 @@ func (g *gen) decl(n *ast.Decl) error {
 		return nil
 	}
 
-	if g.reps[sym] != repValue {
+	if sym.Rep != sema.RepBoxed {
 		if n.Init == nil {
 			g.w("%s = 0", goName(sym))
 			return nil
@@ -379,7 +379,7 @@ func (g *gen) loop(n *ast.Loop) error {
 			return fmt.Errorf("gogen: %s: unresolved loop variable %s", n.Position, n.Var)
 		}
 		counter = goName(sym)
-		counterRaw = g.reps[sym] == repInt
+		counterRaw = sym.Rep == sema.RepInt
 		if counterRaw {
 			g.w("%s = 0", counter)
 		} else {

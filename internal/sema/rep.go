@@ -1,0 +1,298 @@
+package sema
+
+import (
+	"repro/internal/ast"
+	"repro/internal/value"
+)
+
+// Rep is how a compiled engine may hold a scalar symbol.
+type Rep int
+
+const (
+	RepBoxed Rep = iota // a value.Value of any kind (the default)
+	RepInt              // a raw int64: a NUMBR wherever it is read
+	RepFloat            // a raw float64: a NUMBAR wherever it is read
+)
+
+// inferReps sets Rep on every frame symbol under the rules in the package
+// doc, once the checker has resolved every frame. A reference resolves
+// only in its own frame, so each frame is scanned and solved alone.
+func (info *Info) inferReps() {
+	info.inferFrame(info.Main, info.Prog.Body)
+	for _, fi := range info.Funcs {
+		info.inferFrame(fi.Scope, fi.Decl.Body)
+	}
+}
+
+// inferFrame solves one frame. Privates without SRSLY go through an
+// optimistic fixpoint: each starts at the kind its declaration yields,
+// and is demoted to boxed when a store could give it another kind, until
+// nothing changes. The stores that qualify are R with exactly that
+// static kind, under the current reps (only SRSLY stores cast, so there
+// is no promotion), and a loop header counting a NUMBR. Demotion only
+// makes more expressions dynamic, so the pass ends.
+func (info *Info) inferFrame(scope *Scope, body []ast.Stmt) {
+	u := &frameUses{scope: scope, syms: make([]symUse, len(scope.Order))}
+	u.stmts(body)
+	// Declaration order: an Init reads only symbols declared before it,
+	// so their optimistic reps are already in place.
+	for _, sym := range scope.Order {
+		use := &u.syms[sym.Slot]
+		if sym.IsArray || use.undominated {
+			continue
+		}
+		switch {
+		case sym.Kind == SymLoopVar && len(use.assigns) == 0 && !use.killed:
+			// Implicit counters are NUMBR by construction; a body that
+			// assigns to one could store any kind, so only never-assigned
+			// counters unbox.
+			sym.Rep = RepInt
+		case sym.Kind == SymPrivate && sym.Static:
+			sym.Rep = repFor(sym.Type, use.counter)
+		case sym.Kind == SymPrivate && !use.killed && !u.srsWrite:
+			if k, ok := info.declKind(sym.Decl); ok {
+				sym.Rep = repFor(k, use.counter)
+				use.inferred = true
+			}
+		}
+	}
+
+	for changed := true; changed; {
+		changed = false
+		for _, sym := range scope.Order {
+			use := &u.syms[sym.Slot]
+			if !use.inferred || sym.Rep == RepBoxed {
+				continue
+			}
+			k, ok := info.declKind(sym.Decl)
+			keep := ok && (k == value.Numbar) == (sym.Rep == RepFloat)
+			for _, rhs := range use.assigns {
+				rk, ok := info.StaticKind(rhs)
+				keep = keep && ok && rk == k
+			}
+			if !keep {
+				sym.Rep = RepBoxed
+				changed = true
+			}
+		}
+	}
+}
+
+// repFor is the Rep of a private whose every store has kind k. A loop
+// header stores a NUMBR into its counter, so a counted NUMBAR stays
+// boxed.
+func repFor(k value.Kind, counted bool) Rep {
+	switch {
+	case k == value.Numbr:
+		return RepInt
+	case k == value.Numbar && !counted:
+		return RepFloat
+	}
+	return RepBoxed
+}
+
+// declKind is the numeric kind a private's declaration gives it without
+// SRSLY: its Init's static kind, or the typed zero when there is none.
+func (info *Info) declKind(d *ast.Decl) (value.Kind, bool) {
+	if d.Init != nil {
+		return info.StaticKind(d.Init)
+	}
+	if d.Typed && isNumeric(d.Type) {
+		return d.Type, true
+	}
+	return 0, false
+}
+
+func isNumeric(k value.Kind) bool { return k == value.Numbr || k == value.Numbar }
+
+// symOf is the symbol the checker resolved v to (the same one Refs
+// holds), or nil.
+func symOf(v *ast.VarRef) *Symbol {
+	sym, _ := v.Sym.(*Symbol)
+	return sym
+}
+
+// frameUses is what inferFrame needs to know about how one frame uses
+// its symbols.
+type frameUses struct {
+	scope    *Scope
+	syms     []symUse // by slot
+	srsWrite bool     // the frame has an SRS target
+}
+
+type symUse struct {
+	live        bool // a private whose Decl dominates this point
+	undominated bool // a private referenced where its Decl may not have run
+	killed      bool // a GIMMEH or IS NOW A target
+	counter     bool // counted by a loop header
+	inferred    bool // a private without SRSLY in the fixpoint
+	assigns     []ast.Expr
+}
+
+// stmts scans one statement list, keeping each private it declares live
+// for the rest of the list. A private's Decl dominates a reference when
+// the reference lies after the Decl in the statement list holding the
+// Decl, so every path to the reference ran the Decl first. Anything
+// else, such as a read after the OIC of the O RLY? that declared it or
+// after a loop that may run no times, is undominated. (LOLCODE scoping
+// is function-flat, so the checker resolves such reads.)
+func (u *frameUses) stmts(ss []ast.Stmt) {
+	for _, s := range ss {
+		ast.Walk(s, u.visit)
+		u.setLive(s, true)
+	}
+	for _, s := range ss {
+		u.setLive(s, false)
+	}
+}
+
+func (u *frameUses) setLive(s ast.Stmt, live bool) {
+	if d, ok := s.(*ast.Decl); ok {
+		u.syms[d.Sym.(*Symbol).Slot].live = live
+	}
+}
+
+func (u *frameUses) ref(sym *Symbol) {
+	if sym != nil && sym.Kind == SymPrivate && !u.syms[sym.Slot].live {
+		u.syms[sym.Slot].undominated = true
+	}
+}
+
+// target returns the use record of the symbol a store target names, or
+// nil. An SRS target marks the frame: the name is computed at run time,
+// so it may store any kind into any private there.
+func (u *frameUses) target(e ast.Expr) *symUse {
+	switch t := e.(type) {
+	case *ast.VarRef:
+		if sym := symOf(t); sym != nil {
+			return &u.syms[sym.Slot]
+		}
+	case *ast.Srs:
+		u.srsWrite = true
+	}
+	return nil
+}
+
+// visit records one node's uses for ast.Walk, and scans the statement
+// lists below it itself so each is its own dominance region.
+func (u *frameUses) visit(n ast.Node) bool {
+	switch x := n.(type) {
+	case *ast.VarRef:
+		u.ref(symOf(x))
+	case *ast.YarnLit:
+		// :{var} resolves by name in the finished frame at run time.
+		for _, seg := range x.Segs {
+			if seg.Var != "" {
+				u.ref(u.scope.Names[seg.Var])
+			}
+		}
+	case *ast.Assign:
+		if use := u.target(x.Target); use != nil {
+			use.assigns = append(use.assigns, x.Value)
+		}
+	case *ast.Gimmeh:
+		if use := u.target(x.Target); use != nil {
+			use.killed = true
+		}
+	case *ast.CastStmt:
+		if use := u.target(x.Target); use != nil {
+			use.killed = true
+		}
+	case *ast.If:
+		u.stmts(x.Then)
+		for _, m := range x.Mebbes {
+			ast.Walk(m.Cond, u.visit)
+			u.stmts(m.Body)
+		}
+		u.stmts(x.Else)
+		return false
+	case *ast.Switch:
+		for _, c := range x.Cases {
+			ast.Walk(c.Lit, u.visit)
+			u.stmts(c.Body)
+		}
+		u.stmts(x.Default)
+		return false
+	case *ast.Loop:
+		if sym, _ := x.Sym.(*Symbol); sym != nil {
+			u.ref(sym)
+			u.syms[sym.Slot].counter = true
+		}
+		ast.Walk(x.Cond, u.visit)
+		u.stmts(x.Body)
+		return false
+	case *ast.TxtStmt:
+		ast.Walk(x.Target, u.visit)
+		u.stmts([]ast.Stmt{x.Stmt})
+		return false
+	case *ast.TxtBlock:
+		ast.Walk(x.Target, u.visit)
+		u.stmts(x.Body)
+		return false
+	}
+	return true
+}
+
+// StaticKind reports the kind e is guaranteed to evaluate to, when that
+// kind is NUMBR or NUMBAR. It reads each symbol's Rep, a typed array's
+// element type (every element store casts) and a shared SRSLY scalar's
+// declared type (every store casts, so a converting read yields it).
+// Engines lower an expression it accepts to raw int64 or float64 code.
+func (info *Info) StaticKind(e ast.Expr) (value.Kind, bool) {
+	switch n := e.(type) {
+	case *ast.NumbrLit, *ast.Me, *ast.MahFrenz, *ast.Whatevr:
+		return value.Numbr, true
+	case *ast.NumbarLit, *ast.Whatevar:
+		return value.Numbar, true
+	case *ast.VarRef:
+		sym := symOf(n)
+		switch {
+		case sym == nil:
+		case sym.Rep == RepInt:
+			return value.Numbr, true
+		case sym.Rep == RepFloat:
+			return value.Numbar, true
+		case sym.Kind == SymShared && sym.Static && !sym.IsArray && isNumeric(sym.Type):
+			return sym.Type, true
+		}
+		return 0, false
+	case *ast.Index:
+		sym := symOf(n.Arr)
+		if sym != nil && sym.IsArray && isNumeric(sym.Type) {
+			return sym.Type, true
+		}
+		return 0, false
+	case *ast.BinExpr:
+		switch n.Op {
+		case value.OpSum, value.OpDiff, value.OpProdukt, value.OpQuoshunt,
+			value.OpMod, value.OpBiggrOf, value.OpSmallrOf:
+			xk, xok := info.StaticKind(n.X)
+			yk, yok := info.StaticKind(n.Y)
+			if !xok || !yok {
+				return 0, false
+			}
+			if xk == value.Numbar || yk == value.Numbar {
+				return value.Numbar, true
+			}
+			return value.Numbr, true
+		}
+		return 0, false
+	case *ast.UnExpr:
+		switch n.Op {
+		case value.OpSquar:
+			return info.StaticKind(n.X)
+		case value.OpUnsquar, value.OpFlip:
+			if _, ok := info.StaticKind(n.X); ok {
+				return value.Numbar, true
+			}
+		}
+		return 0, false
+	case *ast.CastExpr:
+		// A numeric MAEK always lands on its target kind, whatever the
+		// operand's kind.
+		if isNumeric(n.Type) {
+			return n.Type, true
+		}
+	}
+	return 0, false
+}

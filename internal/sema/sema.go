@@ -8,6 +8,31 @@
 // heap index to every WE HAS A symbol; the interpreter, the closure
 // compiler and the Go emitter all consume this layout, which is exactly the
 // per-PE symmetric layout of the paper's Figure 1.
+//
+// Finally it decides which scalars have a static kind: the facts that let
+// a compiler lower the paper's SRSLY variables ("a transition to a
+// compiled ... language", §II.B) to typed code. Each frame symbol gets a
+// Rep. A private scalar is RepInt or RepFloat, a raw Go int64 or float64
+// in a compiled engine, when its declaration runs before every reference
+// to it (the Decl dominates them: a boxed variable whose Decl never ran
+// reads as NOOB, a raw one would read as 0) and every store keeps its
+// kind:
+//
+//   - SRSLY NUMBR and NUMBAR privates take their declared type, since
+//     every store casts, except a NUMBAR counted by a loop header, which
+//     stores a NUMBR;
+//   - implicit loop counters the body never assigns are RepInt;
+//   - other privates whose declaration yields a NUMBR or NUMBAR and whose
+//     every R stores that same kind, never GIMMEH or IS NOW A targets,
+//     are inferred by an optimistic fixpoint;
+//   - an SRS target of R, GIMMEH or IS NOW A may name any private in its
+//     frame, so it leaves every non-SRSLY private there boxed.
+//
+// :{var} interpolations resolve by name against the finished frame, as
+// the engines do at run time. Every other symbol is RepBoxed: IT,
+// parameters, arrays and shared scalars. StaticKind then reports the
+// expressions guaranteed to be a NUMBR or NUMBAR, counting a shared
+// SRSLY NUMBR or NUMBAR scalar at its declared type.
 package sema
 
 import (
@@ -83,6 +108,7 @@ type Symbol struct {
 	Depth   int  // lexical frame depth: 0 = main, 1 = function body
 	Heap    int  // symmetric heap index for shared symbols; -1 otherwise
 	Lock    int  // lock index for Sharin symbols; -1 otherwise
+	Rep     Rep  // how a compiled engine may hold it (see the package doc)
 }
 
 // Scope is a flat name table for one frame (the main program or one
@@ -196,6 +222,7 @@ func Check(prog *ast.Program) (*Info, error) {
 	if len(c.errs) > 0 {
 		return c.info, c.errs
 	}
+	c.info.inferReps()
 	return c.info, nil
 }
 
@@ -273,11 +300,7 @@ func (c *checker) stmt(s ast.Stmt) {
 		// Hoisted by the parser at top level; nested ones are parse errors.
 
 	case *ast.Barrier:
-		if c.inFunc {
-			// Legal but noteworthy: a barrier inside a function is
-			// collective and must be reached by all PEs. No error.
-			_ = n
-		}
+		// Legal anywhere, in a function too: every PE must reach it.
 
 	case *ast.Lock:
 		c.lock(n)
@@ -401,11 +424,8 @@ func (c *checker) lock(n *ast.Lock) {
 func (c *checker) target(e ast.Expr) {
 	switch t := e.(type) {
 	case *ast.VarRef:
-		sym := c.resolve(t)
-		if sym != nil && sym.IsArray {
-			// Whole-array assignment is legal (ring example); nothing to do.
-			_ = sym
-		}
+		// Whole-array assignment is legal too (ring example).
+		c.resolve(t)
 	case *ast.Index:
 		sym := c.resolve(t.Arr)
 		if sym != nil && !sym.IsArray && sym.Kind != SymParam && sym.Kind != SymIt {
