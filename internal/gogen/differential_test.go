@@ -122,13 +122,44 @@ SRS name R "abc"
 VISIBLE n
 VISIBLE SUM OF n AN 1
 KTHXBYE`},
+	// The pos_ edges fail inside a shape the VM fuses; the error must
+	// name the operator, as it does unfused.
+	{name: "pos_quoshunt", src: `HAI 1.2
+I HAS A z ITZ 7
+I HAS A y ITZ 0
+VISIBLE QUOSHUNT OF z AN y
+KTHXBYE`},
+	{name: "pos_yarn_in_loop", src: `HAI 1.2
+I HAS A w ITZ "abc"
+IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 3
+  I HAS A q ITZ SUM OF w AN 1
+  VISIBLE q
+IM OUTTA YR l
+KTHXBYE`},
+	{name: "pos_store_cast", src: `HAI 1.2
+I HAS A w ITZ "abc"
+I HAS A x ITZ SRSLY A NUMBAR AN ITZ 1.5
+x R PRODUKT OF w AN 2
+VISIBLE x
+KTHXBYE`},
+	{name: "pos_elem_binary", src: `HAI 1.2
+I HAS A s ITZ "abc"
+I HAS A a ITZ SRSLY LOTZ A NUMBARS AN THAR IZ 3
+I HAS A k ITZ 1
+VISIBLE SUM OF s AN a'Z k
+KTHXBYE`},
+	{name: "pos_cmp_head", src: `HAI 1.2
+I HAS A w ITZ "abc"
+IM IN YR l UPPIN YR i TIL BIGGER i AN w
+  VISIBLE i
+IM OUTTA YR l
+KTHXBYE`},
 }
 
 // TestKindEdgesInProcess runs every edge on every registered in-process
 // engine at NP 1 and 4 under a step budget, and requires interp's
-// grouped output bytes, its ok/error outcome and its runtime error
-// message. Positions are not compared: the vm reports a fused op at its
-// first operand.
+// grouped output bytes, its ok/error outcome, and its runtime error
+// message and position.
 func TestKindEdgesInProcess(t *testing.T) {
 	ref, err := backend.ByName("interp")
 	if err != nil {
@@ -149,7 +180,7 @@ func TestKindEdgesInProcess(t *testing.T) {
 				var re *backend.RuntimeError
 				switch {
 				case errors.As(err, &re):
-					return buf.String(), "error: " + re.Err.Error()
+					return buf.String(), "error: " + re.Pos.String() + ": " + re.Err.Error()
 				case err != nil:
 					return buf.String(), "error: " + err.Error()
 				}

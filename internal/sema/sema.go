@@ -33,6 +33,10 @@
 // parameters, arrays and shared scalars. StaticKind then reports the
 // expressions guaranteed to be a NUMBR or NUMBAR, counting a shared
 // SRSLY NUMBR or NUMBAR scalar at its declared type.
+//
+// Three engines read these facts: the closure compiler and the Go
+// emitter lower such expressions to raw int64 and float64 code, and the
+// bytecode VM stamps the operations over them with a typed operand class.
 package sema
 
 import (

@@ -6,6 +6,7 @@ package vm_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -61,18 +62,35 @@ func minCompletingBudget(t *testing.T, p *vm.Program, np int, hi int64) int64 {
 	return lo
 }
 
+// arithLoop is experiment E1's scalar-arith loop, the third program of
+// the kernels benchmark.
+func arithLoop(iters int) string {
+	return fmt.Sprintf(`HAI 1.2
+I HAS A acc ITZ SRSLY A NUMBAR AN ITZ 0.0
+IM IN YR loop UPPIN YR i TIL BOTH SAEM i AN %d
+  acc R SUM OF acc AN FLIP OF SUM OF i AN 1
+IM OUTTA YR loop
+VISIBLE acc
+KTHXBYE
+`, iters)
+}
+
 // TestStepBudgetInvariantFusedVsUnfused is the S2 acceptance test: for
 // each E1 kernel, the smallest completing budget must be IDENTICAL with
 // fusion on and off — i.e. fused superinstructions meter exactly the
 // pre-fusion step count — and at that boundary both forms produce the
-// same bodies as the unlimited run, while one step less kills both.
+// same bodies as the unlimited run, while one step less kills both. The
+// budget itself is pinned too: typed ops each replace exactly one
+// generic op, so they must not move any program's step count.
 func TestStepBudgetInvariantFusedVsUnfused(t *testing.T) {
 	kernels := map[string]struct {
-		src string
-		np  int
+		src  string
+		np   int
+		want int64 // the smallest completing budget at seed 11
 	}{
-		"montecarlo": {experiments.GenMonteCarlo(60, 2), 2},
-		"nbody":      {experiments.GenNBody(4, 1), 2},
+		"montecarlo": {experiments.GenMonteCarlo(60, 2), 2, 1526},
+		"nbody":      {experiments.GenNBody(4, 1), 2, 2290},
+		"arith":      {arithLoop(100), 1, 1314},
 	}
 	for name, k := range kernels {
 		t.Run(name, func(t *testing.T) {
@@ -84,6 +102,9 @@ func TestStepBudgetInvariantFusedVsUnfused(t *testing.T) {
 			sUnfused := minCompletingBudget(t, unfused, k.np, hi)
 			if sFused != sUnfused {
 				t.Fatalf("smallest completing budget diverges: fused %d, unfused %d", sFused, sUnfused)
+			}
+			if sFused != k.want {
+				t.Errorf("smallest completing budget is %d, want %d", sFused, k.want)
 			}
 
 			wantOut, err := runBudget(unfused, k.np, 0) // unlimited

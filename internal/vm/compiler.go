@@ -170,10 +170,7 @@ func (c *compiler) stmt(s ast.Stmt) error {
 		return c.decl(n)
 
 	case *ast.Assign:
-		if err := c.expr(n.Value); err != nil {
-			return err
-		}
-		return c.store(n.Target)
+		return c.assign(n)
 
 	case *ast.CastStmt:
 		if err := c.load(n.Target); err != nil {
@@ -534,6 +531,29 @@ func (c *compiler) loadVar(n *ast.VarRef) error {
 	return nil
 }
 
+// assign compiles `target R value`. A store into a SRSLY private casts,
+// unless the value's static kind is already the declared type: then the
+// cast is the identity and a plain slot store does.
+func (c *compiler) assign(n *ast.Assign) error {
+	if v, ok := n.Target.(*ast.VarRef); ok {
+		sym, err := c.resolve(v)
+		if err != nil {
+			return err
+		}
+		if k, ok := c.info.StaticKind(n.Value); ok && sym.Kind != sema.SymShared && sym.Static && !sym.IsArray && k == sym.Type {
+			if err := c.typed(n.Value, k); err != nil {
+				return err
+			}
+			c.emit(Instr{Op: OpStoreSlot, A: sym.Slot, Pos: v.Position})
+			return nil
+		}
+	}
+	if err := c.expr(n.Value); err != nil {
+		return err
+	}
+	return c.store(n.Target)
+}
+
 func (c *compiler) storeVar(n *ast.VarRef) error {
 	sym, err := c.resolve(n)
 	if err != nil {
@@ -566,13 +586,14 @@ func (c *compiler) loadIndex(n *ast.Index) error {
 	if err != nil {
 		return err
 	}
-	if err := c.expr(n.IndexE); err != nil {
+	cl, err := c.subscript(n)
+	if err != nil {
 		return err
 	}
 	if sym.Kind == sema.SymShared {
-		c.emit(Instr{Op: OpLoadElem, A: sym.Heap, B: remoteFlag(n.Arr.Space), Pos: n.Position})
+		c.emit(Instr{Op: OpLoadElem, Class: cl, A: sym.Heap, B: remoteFlag(n.Arr.Space), Pos: n.Position})
 	} else {
-		c.emit(Instr{Op: OpLoadElemSlot, A: sym.Slot, S: n.Arr.Name, Pos: n.Position})
+		c.emit(Instr{Op: OpLoadElemSlot, Class: cl, A: sym.Slot, S: n.Arr.Name, Pos: n.Position})
 	}
 	return nil
 }
@@ -582,15 +603,26 @@ func (c *compiler) storeIndex(n *ast.Index) error {
 	if err != nil {
 		return err
 	}
-	if err := c.expr(n.IndexE); err != nil {
+	cl, err := c.subscript(n)
+	if err != nil {
 		return err
 	}
 	if sym.Kind == sema.SymShared {
-		c.emit(Instr{Op: OpStoreElem, A: sym.Heap, B: remoteFlag(n.Arr.Space), Pos: n.Position})
+		c.emit(Instr{Op: OpStoreElem, Class: cl, A: sym.Heap, B: remoteFlag(n.Arr.Space), Pos: n.Position})
 	} else {
-		c.emit(Instr{Op: OpStoreElemSlot, A: sym.Slot, S: n.Arr.Name, Pos: n.Position})
+		c.emit(Instr{Op: OpStoreElemSlot, Class: cl, A: sym.Slot, S: n.Arr.Name, Pos: n.Position})
 	}
 	return nil
+}
+
+// subscript emits an index expression and returns the class of the
+// element op that pops it: classInt when the index is statically a
+// NUMBR, which the op then pops without a conversion.
+func (c *compiler) subscript(n *ast.Index) (Class, error) {
+	if k, ok := c.info.StaticKind(n.IndexE); ok && k == value.Numbr {
+		return classInt, c.typed(n.IndexE, k)
+	}
+	return 0, c.expr(n.IndexE)
 }
 
 // --------------------------------------------------------------- expressions
@@ -614,10 +646,16 @@ func (c *compiler) expr(e ast.Expr) error {
 	case *ast.BinExpr:
 		return c.binExpr(n)
 	case *ast.UnExpr:
-		if err := c.expr(n.X); err != nil {
+		var cl Class
+		if k, ok := c.info.StaticKind(n.X); ok && n.Op != value.OpNot {
+			cl = kindClass(k)
+			if err := c.typed(n.X, k); err != nil {
+				return err
+			}
+		} else if err := c.expr(n.X); err != nil {
 			return err
 		}
-		c.emit(Instr{Op: OpUnary, A: int(n.Op), Pos: n.Position})
+		c.emit(Instr{Op: OpUnary, Class: cl, A: int(n.Op), Pos: n.Position})
 	case *ast.NaryExpr:
 		return c.naryExpr(n)
 	case *ast.CastExpr:
@@ -677,14 +715,52 @@ func (c *compiler) binExpr(n *ast.BinExpr) error {
 		c.patch(end)
 		return nil
 	}
-	if err := c.expr(n.X); err != nil {
+	xk, xok := c.info.StaticKind(n.X)
+	yk, yok := c.info.StaticKind(n.Y)
+	if !xok || !yok || !classedOp(n.Op) {
+		if err := c.expr(n.X); err != nil {
+			return err
+		}
+		if err := c.expr(n.Y); err != nil {
+			return err
+		}
+		c.emit(Instr{Op: OpBinary, A: int(n.Op), Pos: n.Position})
+		return nil
+	}
+	if err := c.typed(n.X, xk); err != nil {
 		return err
 	}
-	if err := c.expr(n.Y); err != nil {
+	if err := c.typed(n.Y, yk); err != nil {
 		return err
 	}
-	c.emit(Instr{Op: OpBinary, A: int(n.Op), Pos: n.Position})
+	c.emit(Instr{Op: OpBinary, Class: pairClass(xk, yk), A: int(n.Op), Pos: n.Position})
 	return nil
+}
+
+// classedOp reports whether a binary op takes a typed body when sema
+// knows both operand kinds: the seven arithmetic operators and the four
+// comparisons.
+func classedOp(op value.BinOp) bool {
+	return op.Arith() || op == value.OpBothSaem || op == value.OpDiffrint
+}
+
+// typed emits e, whose static kind is k, for a consumer that reads it
+// raw. StaticKind counts a shared SRSLY scalar at its declared type, but
+// its heap cell holds NOOB until the owner's WE HAS A has run, so its
+// load converts to k and fails at the read if it cannot (as compile's
+// typed reads do).
+func (c *compiler) typed(e ast.Expr, k value.Kind) error {
+	if v, ok := e.(*ast.VarRef); ok {
+		sym, err := c.resolve(v)
+		if err != nil {
+			return err
+		}
+		if sym.Kind == sema.SymShared && !sym.IsArray {
+			c.emit(Instr{Op: OpLoadHeap, Class: kindClass(k), A: sym.Heap, B: remoteFlag(v.Space), Pos: v.Position})
+			return nil
+		}
+	}
+	return c.expr(e)
 }
 
 func (c *compiler) naryExpr(n *ast.NaryExpr) error {

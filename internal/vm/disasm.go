@@ -10,7 +10,8 @@ import (
 // Disassemble renders a compiled program as a readable listing, one chunk
 // per section, for `lolrun -dump-bytecode` and the golden tests that pin
 // the fusion pass's output. Fused superinstructions print their step
-// weight so metering is auditable from the listing alone.
+// weight so metering is auditable from the listing alone, and typed
+// operations their class: "SUM OF:f", "BOTH SAEM:i", "load.elem h0[:i]".
 func Disassemble(p *Program) string {
 	var b strings.Builder
 	disasmChunk(&b, p.Main)
@@ -42,7 +43,16 @@ func konstStr(c *Chunk, i int) string {
 	return fmt.Sprintf("c%d<%s %s>", i, v.Kind(), v.Display())
 }
 
-func binOpStr(b int) string { return value.BinOp(b & fuseOpMask).String() }
+// binOpStr renders a binary op with its class mark, e.g. "SUM OF:f".
+func binOpStr(b int, cl Class) string { return value.BinOp(b&fuseOpMask).String() + classMark(cl) }
+
+// classMark is ":" and the class of a typed op, or "" for a dynamic one.
+func classMark(cl Class) string {
+	if cl == 0 {
+		return ""
+	}
+	return ":" + cl.String()
+}
 
 // senseStr renders a fused branch's sense: the pop-jump it replaced.
 func senseStr(b int) string {
@@ -71,18 +81,23 @@ func disasmOperands(c *Chunk, in *Instr) string {
 	case OpStoreSlotCast:
 		return fmt.Sprintf("s%d as %s%s", in.A, value.Kind(in.B), name())
 	case OpLoadElemSlot, OpStoreElemSlot, OpDeclArrSlot:
-		return fmt.Sprintf("s%d%s", in.A, name())
+		return fmt.Sprintf("s%d%s", in.A, subscriptMark(in)) + name()
 	case OpLoadHeap, OpLoadHeapArr, OpStoreHeap, OpStoreHeapArr,
 		OpLoadElem, OpStoreElem, OpDeclArrHeap, OpInitHeap:
 		s := fmt.Sprintf("h%d", in.A)
+		if in.Op == OpLoadHeap {
+			s += classMark(in.Class)
+		} else {
+			s += subscriptMark(in)
+		}
 		if in.B&flagRemote != 0 {
 			s += " ur"
 		}
 		return s + name()
 	case OpBinary:
-		return value.BinOp(in.A).String()
+		return binOpStr(in.A, in.Class)
 	case OpUnary:
-		return value.UnOp(in.A).String()
+		return value.UnOp(in.A).String() + classMark(in.Class)
 	case OpCast:
 		return value.Kind(in.A).String() + name()
 	case OpConcat, OpSmoosh, OpVisible, OpPredPop:
@@ -97,35 +112,42 @@ func disasmOperands(c *Chunk, in *Instr) string {
 		return fmt.Sprintf("f%d args=%d%s", in.A, in.B, name())
 
 	case OpFusedConstBinary:
-		return fmt.Sprintf("tos %s %s", binOpStr(in.B), konstStr(c, in.A))
+		return fmt.Sprintf("tos %s %s", binOpStr(in.B, in.Class), konstStr(c, in.A))
 	case OpFusedSlotBinary:
-		return fmt.Sprintf("tos %s s%d", binOpStr(in.B), in.A)
+		return fmt.Sprintf("tos %s s%d", binOpStr(in.B, in.Class), in.A)
 	case OpFusedSlotConstBinary:
-		return fmt.Sprintf("s%d %s %s", in.A, binOpStr(in.B), konstStr(c, in.C))
+		return fmt.Sprintf("s%d %s %s", in.A, binOpStr(in.B, in.Class), konstStr(c, in.C))
 	case OpFusedSlotSlotBinary:
-		return fmt.Sprintf("s%d %s s%d", in.A, binOpStr(in.B), in.C)
-	case OpFusedElemSlotBinary:
-		return fmt.Sprintf("tos %s s%d[tos]%s", binOpStr(in.B), in.A, name())
+		return fmt.Sprintf("s%d %s s%d", in.A, binOpStr(in.B, in.Class), in.C)
 	case OpFusedBinaryStoreSlot:
-		return fmt.Sprintf("s%d = %s", in.A, binOpStr(in.B))
+		return fmt.Sprintf("s%d = %s", in.A, binOpStr(in.B, in.Class))
 	case OpFusedBinaryStoreSlotCast:
-		return fmt.Sprintf("s%d = %s as %s%s", in.A, binOpStr(in.B), value.Kind(in.C), name())
+		return fmt.Sprintf("s%d = %s as %s%s", in.A, binOpStr(in.B, in.Class), value.Kind(in.C), name())
 	case OpFusedSlotJump:
 		return fmt.Sprintf("s%d %s -> %d", in.A, senseStr(in.B), in.D)
 	case OpFusedSlotConstCmpJump:
-		return fmt.Sprintf("s%d %s %s %s -> %d", in.A, binOpStr(in.B), konstStr(c, in.C), senseStr(in.B), in.D)
+		return fmt.Sprintf("s%d %s %s %s -> %d", in.A, binOpStr(in.B, in.Class), konstStr(c, in.C), senseStr(in.B), in.D)
 	case OpFusedSlotSlotCmpJump:
-		return fmt.Sprintf("s%d %s s%d %s -> %d", in.A, binOpStr(in.B), in.C, senseStr(in.B), in.D)
+		return fmt.Sprintf("s%d %s s%d %s -> %d", in.A, binOpStr(in.B, in.Class), in.C, senseStr(in.B), in.D)
 	case OpFusedIncSlotJump:
 		return fmt.Sprintf("s%d %+d -> %d%s", in.A, in.B, in.D, name())
 	case OpFusedSlotConstBinaryStore:
-		return fmt.Sprintf("s%d = s%d %s %s", in.D, in.A, binOpStr(in.B), konstStr(c, in.C))
+		return fmt.Sprintf("s%d = s%d %s %s", in.D, in.A, binOpStr(in.B, in.Class), konstStr(c, in.C))
 	case OpFusedSlotConstBinaryStoreCast:
-		return fmt.Sprintf("s%d = s%d %s %s as %s%s", in.D, in.A, binOpStr(in.B), konstStr(c, in.C), value.Kind(in.B>>fuseKindShift), name())
+		return fmt.Sprintf("s%d = s%d %s %s as %s%s", in.D, in.A, binOpStr(in.B, in.Class), konstStr(c, in.C), value.Kind(in.B>>fuseKindShift), name())
 	case OpFusedSlotSlotBinaryStore:
-		return fmt.Sprintf("s%d = s%d %s s%d", in.D, in.A, binOpStr(in.B), in.C)
+		return fmt.Sprintf("s%d = s%d %s s%d", in.D, in.A, binOpStr(in.B, in.Class), in.C)
 	case OpFusedSlotSlotBinaryStoreCast:
-		return fmt.Sprintf("s%d = s%d %s s%d as %s%s", in.D, in.A, binOpStr(in.B), in.C, value.Kind(in.B>>fuseKindShift), name())
+		return fmt.Sprintf("s%d = s%d %s s%d as %s%s", in.D, in.A, binOpStr(in.B, in.Class), in.C, value.Kind(in.B>>fuseKindShift), name())
 	}
 	return ""
+}
+
+// subscriptMark renders an element op's class: "[:i]" when it pops its
+// index raw as a NUMBR.
+func subscriptMark(in *Instr) string {
+	if in.Class == 0 {
+		return ""
+	}
+	return "[" + classMark(in.Class) + "]"
 }

@@ -24,14 +24,21 @@ package vm
 //     of instructions it replaced (see opWeights), so backend.Meter
 //     accounting is preserved: a step budget of N still permits exactly N
 //     pre-fusion instructions. The one observable difference is kill
-//     *placement*: a budget kill that lands inside a fused block reports
-//     the block's first instruction and executes none of it, where the
-//     unfused program may have executed a partial prefix before dying.
+//     *placement*: a budget kill that lands inside a fused block executes
+//     none of it, where the unfused program may have executed a partial
+//     prefix before dying.
 //     For these patterns the prefix has no output effect, so kill/no-kill
 //     outcomes and all produced output are identical; only a runtime
 //     error coinciding with the last weight-1 steps of the budget could
 //     classify differently (budget vs. runtime error), which the
 //     conformance harness treats as out of scope for budget-killed runs.
+//   - A fused op that absorbs an OpBinary copies its operand class and
+//     its position. The binary is the only part of any shape that can
+//     fail: loads, constants, jumps and slot stores cannot, and neither
+//     can a SRSLY cast of the NUMBR, NUMBAR or TROOF a binary yields. So
+//     a fused op fails where interp and compile do, at the operator. (An
+//     element load and a binary fail at different positions, so no shape
+//     holds both.)
 //
 // After rewriting, every surviving jump target is remapped through the
 // old-index → new-index table; fused branches keep their target in D so
@@ -121,28 +128,28 @@ func matchFusion(code []Instr, i int, isTarget []bool) (int, Instr) {
 					// The canonical loop head: slot ⊕ const (or slot ⊕ slot),
 					// branch on the comparison.
 					if i1.Op == OpConst {
-						return 4, Instr{Op: OpFusedSlotConstCmpJump, A: in0.A, B: i2.A | s, C: i1.A, D: i3.A, Pos: in0.Pos}
+						return 4, Instr{Op: OpFusedSlotConstCmpJump, Class: i2.Class, A: in0.A, B: i2.A | s, C: i1.A, D: i3.A, Pos: i2.Pos}
 					}
 					if i1.Op == OpLoadSlot {
-						return 4, Instr{Op: OpFusedSlotSlotCmpJump, A: in0.A, B: i2.A | s, C: i1.A, D: i3.A, Pos: in0.Pos}
+						return 4, Instr{Op: OpFusedSlotSlotCmpJump, Class: i2.Class, A: in0.A, B: i2.A | s, C: i1.A, D: i3.A, Pos: i2.Pos}
 					}
 				}
 				// Whole statements of the form `dst R x ⊕ y` with slot/const
 				// operands: no value-stack traffic at all.
 				if i3.Op == OpStoreSlot {
 					if i1.Op == OpConst {
-						return 4, Instr{Op: OpFusedSlotConstBinaryStore, A: in0.A, B: i2.A, C: i1.A, D: i3.A, Pos: in0.Pos}
+						return 4, Instr{Op: OpFusedSlotConstBinaryStore, Class: i2.Class, A: in0.A, B: i2.A, C: i1.A, D: i3.A, Pos: i2.Pos}
 					}
 					if i1.Op == OpLoadSlot {
-						return 4, Instr{Op: OpFusedSlotSlotBinaryStore, A: in0.A, B: i2.A, C: i1.A, D: i3.A, Pos: in0.Pos}
+						return 4, Instr{Op: OpFusedSlotSlotBinaryStore, Class: i2.Class, A: in0.A, B: i2.A, C: i1.A, D: i3.A, Pos: i2.Pos}
 					}
 				}
 				if i3.Op == OpStoreSlotCast {
 					if i1.Op == OpConst {
-						return 4, Instr{Op: OpFusedSlotConstBinaryStoreCast, A: in0.A, B: i2.A | i3.B<<fuseKindShift, C: i1.A, D: i3.A, S: i3.S, Pos: in0.Pos}
+						return 4, Instr{Op: OpFusedSlotConstBinaryStoreCast, Class: i2.Class, A: in0.A, B: i2.A | i3.B<<fuseKindShift, C: i1.A, D: i3.A, S: i3.S, Pos: i2.Pos}
 					}
 					if i1.Op == OpLoadSlot {
-						return 4, Instr{Op: OpFusedSlotSlotBinaryStoreCast, A: in0.A, B: i2.A | i3.B<<fuseKindShift, C: i1.A, D: i3.A, S: i3.S, Pos: in0.Pos}
+						return 4, Instr{Op: OpFusedSlotSlotBinaryStoreCast, Class: i2.Class, A: in0.A, B: i2.A | i3.B<<fuseKindShift, C: i1.A, D: i3.A, S: i3.S, Pos: i2.Pos}
 					}
 				}
 			}
@@ -151,17 +158,17 @@ func matchFusion(code []Instr, i int, isTarget []bool) (int, Instr) {
 			i1, i2 := &code[i+1], &code[i+2]
 			if i2.Op == OpBinary {
 				if i1.Op == OpConst {
-					return 3, Instr{Op: OpFusedSlotConstBinary, A: in0.A, B: i2.A, C: i1.A, Pos: in0.Pos}
+					return 3, Instr{Op: OpFusedSlotConstBinary, Class: i2.Class, A: in0.A, B: i2.A, C: i1.A, Pos: i2.Pos}
 				}
 				if i1.Op == OpLoadSlot {
-					return 3, Instr{Op: OpFusedSlotSlotBinary, A: in0.A, B: i2.A, C: i1.A, Pos: in0.Pos}
+					return 3, Instr{Op: OpFusedSlotSlotBinary, Class: i2.Class, A: in0.A, B: i2.A, C: i1.A, Pos: i2.Pos}
 				}
 			}
 		}
 		if clear(2) {
 			i1 := &code[i+1]
 			if i1.Op == OpBinary {
-				return 2, Instr{Op: OpFusedSlotBinary, A: in0.A, B: i1.A, Pos: in0.Pos}
+				return 2, Instr{Op: OpFusedSlotBinary, Class: i1.Class, A: in0.A, B: i1.A, Pos: i1.Pos}
 			}
 			if s := jumpSense(i1.Op); s >= 0 {
 				// O RLY? and friends: load IT (or any slot), branch on it.
@@ -170,20 +177,17 @@ func matchFusion(code []Instr, i int, isTarget []bool) (int, Instr) {
 		}
 	case OpConst:
 		if clear(2) && code[i+1].Op == OpBinary {
-			return 2, Instr{Op: OpFusedConstBinary, A: in0.A, B: code[i+1].A, Pos: in0.Pos}
-		}
-	case OpLoadElemSlot:
-		if clear(2) && code[i+1].Op == OpBinary {
-			return 2, Instr{Op: OpFusedElemSlotBinary, A: in0.A, B: code[i+1].A, S: in0.S, Pos: in0.Pos}
+			i1 := &code[i+1]
+			return 2, Instr{Op: OpFusedConstBinary, Class: i1.Class, A: in0.A, B: i1.A, Pos: i1.Pos}
 		}
 	case OpBinary:
 		if clear(2) {
 			i1 := &code[i+1]
 			if i1.Op == OpStoreSlot {
-				return 2, Instr{Op: OpFusedBinaryStoreSlot, A: i1.A, B: in0.A, Pos: in0.Pos}
+				return 2, Instr{Op: OpFusedBinaryStoreSlot, Class: in0.Class, A: i1.A, B: in0.A, Pos: in0.Pos}
 			}
 			if i1.Op == OpStoreSlotCast {
-				return 2, Instr{Op: OpFusedBinaryStoreSlotCast, A: i1.A, B: in0.A, C: i1.B, S: i1.S, Pos: in0.Pos}
+				return 2, Instr{Op: OpFusedBinaryStoreSlotCast, Class: in0.Class, A: i1.A, B: in0.A, C: i1.B, S: i1.S, Pos: in0.Pos}
 			}
 		}
 	case OpIncSlot:

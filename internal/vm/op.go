@@ -42,7 +42,6 @@ const (
 	OpFusedSlotBinary          // tos = Binary(B, tos, slots[A]); w=2
 	OpFusedSlotConstBinary     // push Binary(B, slots[A], Consts[C]); w=3
 	OpFusedSlotSlotBinary      // push Binary(B, slots[A], slots[C]); w=3
-	OpFusedElemSlotBinary      // i=pop; tos = Binary(B, tos, slots[A][i]); S names the array; w=2
 	OpFusedBinaryStoreSlot     // y=pop, x=pop; slots[A] = Binary(B, x, y); w=2
 	OpFusedBinaryStoreSlotCast // y=pop, x=pop; slots[A] = cast(Binary(B, x, y), Kind(C)); S names the SRSLY var; w=2
 	OpFusedSlotJump            // jump to D when slots[A] truthiness matches B's sense; w=2
@@ -142,7 +141,6 @@ var opNames = [...]string{
 	OpFusedSlotBinary:          "fuse.slot.binary",
 	OpFusedSlotConstBinary:     "fuse.slot.const.binary",
 	OpFusedSlotSlotBinary:      "fuse.slot.slot.binary",
-	OpFusedElemSlotBinary:      "fuse.elem.slot.binary",
 	OpFusedBinaryStoreSlot:     "fuse.binary.store.slot",
 	OpFusedBinaryStoreSlotCast: "fuse.binary.store.slot.cast",
 	OpFusedSlotJump:            "fuse.slot.jump",
@@ -177,7 +175,6 @@ func init() {
 	opWeights[OpFusedSlotBinary] = 2
 	opWeights[OpFusedSlotConstBinary] = 3
 	opWeights[OpFusedSlotSlotBinary] = 3
-	opWeights[OpFusedElemSlotBinary] = 2
 	opWeights[OpFusedBinaryStoreSlot] = 2
 	opWeights[OpFusedBinaryStoreSlotCast] = 2
 	opWeights[OpFusedSlotJump] = 2
@@ -224,9 +221,11 @@ const (
 // hot path, and every instruction carries its source position for errors.
 // D is the jump target of fused compare-and-branch superinstructions,
 // kept separate from A so slot/const operands never alias a target during
-// fusion's index remapping.
+// fusion's index remapping. Class sits in the padding after Op, so it
+// costs no space.
 type Instr struct {
 	Op         Op
+	Class      Class // static operand class of a numeric operation; 0 = dynamic
 	A, B, C, D int
 	S          string // symbol name for error messages; usually empty
 	Pos        token.Pos
@@ -234,6 +233,9 @@ type Instr struct {
 
 func (in Instr) String() string {
 	s := fmt.Sprintf("%-16s A=%d B=%d", in.Op, in.A, in.B)
+	if in.Class != 0 {
+		s += " class=" + in.Class.String()
+	}
 	if in.C != 0 || in.D != 0 {
 		s += fmt.Sprintf(" C=%d D=%d", in.C, in.D)
 	}
@@ -256,111 +258,315 @@ type Chunk struct {
 	Scope  *sema.Scope
 }
 
-// binFast is the unboxed arithmetic fast path shared by OpBinary and the
-// fused superinstructions: one Kind check per operand, then raw
-// int64/float64 dispatch through the value.Binary*/Raw* helpers so error
-// semantics stay single-sourced with the generic path. Non-numeric or
-// non-arithmetic operands fall back to value.Binary.
-func binFast(op value.BinOp, x, y value.Value) (value.Value, error) {
-	xk, yk := x.Kind(), y.Kind()
-	if xk == value.Numbr && yk == value.Numbr {
+// Class is the static operand class the compiler stamps on a numeric
+// operation from sema's StaticKind facts (see compiler.go). It promises
+// the operands' kinds, so the VM reads their raw payloads with no Kind()
+// dispatch:
+//
+//   - classInt: a NUMBR × NUMBR binary op, a unary op on a NUMBR, an
+//     array subscript that is a NUMBR, or a shared scalar load that must
+//     yield a NUMBR;
+//   - classFloat: float arithmetic, with widenX and widenY marking the
+//     operands that are NUMBRs and widen to float64, exactly as
+//     value.Binary widens mixed operands. A unary op or a shared scalar
+//     load of class classFloat has a NUMBAR operand.
+//
+// Zero is dynamic: the operation dispatches on its operands' runtime
+// kinds, through the same typed bodies when both turn out numeric.
+type Class uint8
+
+const (
+	classInt Class = 1 << iota
+	classFloat
+	widenX
+	widenY
+)
+
+// String is the class mark Disassemble prints: "i", "f", or for a widened
+// float op the operand kinds, "if" (NUMBR x) or "fi" (NUMBR y).
+func (cl Class) String() string {
+	switch {
+	case cl == 0:
+		return ""
+	case cl == classInt:
+		return "i"
+	case cl&widenX != 0:
+		return "if"
+	case cl&widenY != 0:
+		return "fi"
+	}
+	return "f"
+}
+
+// kindClass is the class of an operand of static kind k.
+func kindClass(k value.Kind) Class {
+	if k == value.Numbar {
+		return classFloat
+	}
+	return classInt
+}
+
+// pairClass is the class of a binary op whose operands have kinds xk and
+// yk, or 0 when either is not a NUMBR or NUMBAR.
+func pairClass(xk, yk value.Kind) Class {
+	switch {
+	case xk == value.Numbr && yk == value.Numbr:
+		return classInt
+	case xk == value.Numbar && yk == value.Numbar:
+		return classFloat
+	case xk == value.Numbr && yk == value.Numbar:
+		return classFloat | widenX
+	case xk == value.Numbar && yk == value.Numbr:
+		return classFloat | widenY
+	}
+	return 0
+}
+
+// fx and fy read a float-class operand: the NUMBAR payload, or the NUMBR
+// widened to float64 when its widen bit is set.
+func (cl Class) fx(x *value.Value) float64 {
+	if cl&widenX != 0 {
+		return float64(x.Numbr())
+	}
+	return x.Numbar()
+}
+
+func (cl Class) fy(y *value.Value) float64 {
+	if cl&widenY != 0 {
+		return float64(y.Numbr())
+	}
+	return y.Numbar()
+}
+
+// The operation helpers below are shared by the plain and the fused
+// opcodes. Operands and destination are passed by pointer — into the
+// value stack, the slot array or the constant pool — so no 48-byte
+// value.Value is copied in or out, and the result is written in place
+// (dst may alias an operand; every body reads its operands first). A
+// typed class takes its typed body straight away. Class 0 derives the
+// class from the operands' runtime kinds and, when both are numeric,
+// takes the same typed body; anything else goes to value.Binary or
+// value.Unary. Division, modulo, UNSQUAR and FLIP go through value.Raw*
+// and the rest through value.BinaryNumbr, BinaryNumbar or RawCmp*, so
+// results and error text stay single-sourced with the generic path.
+
+// binInto is *dst = Binary(op, *x, *y).
+func binInto(dst *value.Value, op value.BinOp, cl Class, x, y *value.Value) error {
+	if cl == 0 {
+		if cl = pairClass(x.Kind(), y.Kind()); cl == 0 {
+			return binGeneric(dst, op, x, y)
+		}
+	}
+	var v value.Value
+	var err error
+	if cl == classInt {
 		a, b := x.Numbr(), y.Numbr()
-		// +, - and × dominate the kernels; evaluate them without the
-		// second dispatch through BinaryNumbr's op switch.
-		switch op {
-		case value.OpSum:
-			return value.NewNumbr(a + b), nil
-		case value.OpDiff:
-			return value.NewNumbr(a - b), nil
-		case value.OpProdukt:
-			return value.NewNumbr(a * b), nil
+		if addSubMul(op) {
+			*dst = value.NewNumbr(intArith(op, a, b))
+			return nil
 		}
-		if op.Arith() {
-			return value.BinaryNumbr(op, a, b)
+		if res, ok := value.RawCmpNumbr(op, a, b); ok {
+			*dst = value.NewTroof(res)
+			return nil
 		}
-		return value.Binary(op, x, y)
+		if !op.Arith() {
+			return binGeneric(dst, op, x, y)
+		}
+		v, err = value.BinaryNumbr(op, a, b)
+	} else {
+		a, b := cl.fx(x), cl.fy(y)
+		if addSubMul(op) {
+			*dst = value.NewNumbar(floatArith(op, a, b))
+			return nil
+		}
+		if res, ok := value.RawCmpNumbar(op, a, b); ok {
+			*dst = value.NewTroof(res)
+			return nil
+		}
+		if !op.Arith() {
+			return binGeneric(dst, op, x, y)
+		}
+		v, err = value.BinaryNumbar(op, a, b)
 	}
-	if (xk == value.Numbr || xk == value.Numbar) && (yk == value.Numbr || yk == value.Numbar) {
-		// Mixed numerics widen the NUMBR side, exactly as value.Binary does.
-		a, b := x.Numbar(), y.Numbar()
-		if xk == value.Numbr {
-			a = float64(x.Numbr())
-		}
-		if yk == value.Numbr {
-			b = float64(y.Numbr())
-		}
-		switch op {
-		case value.OpSum:
-			return value.NewNumbar(a + b), nil
-		case value.OpDiff:
-			return value.NewNumbar(a - b), nil
-		case value.OpProdukt:
-			return value.NewNumbar(a * b), nil
-		}
-		if op.Arith() {
-			return value.BinaryNumbar(op, a, b)
-		}
-	}
-	return value.Binary(op, x, y)
-}
-
-// unFast is the unboxed counterpart of binFast for the unary operators:
-// the Table III math unaries on a NUMBAR operand skip value.Unary's
-// operand coercion, sharing the value.Raw* bodies for error parity.
-func unFast(op value.UnOp, x value.Value) (value.Value, error) {
-	if x.Kind() == value.Numbar {
-		f := x.Numbar()
-		switch op {
-		case value.OpSquar:
-			return value.NewNumbar(f * f), nil
-		case value.OpUnsquar:
-			r, err := value.RawUnsquar(f)
-			if err != nil {
-				return value.NOOB, err
-			}
-			return value.NewNumbar(r), nil
-		case value.OpFlip:
-			r, err := value.RawFlip(f)
-			if err != nil {
-				return value.NOOB, err
-			}
-			return value.NewNumbar(r), nil
-		}
-	}
-	return value.Unary(op, x)
-}
-
-// truthyBin evaluates Binary(op, x, y) for a fused compare-and-branch and
-// returns the result's truthiness — for numeric comparisons without
-// constructing the intermediate TROOF box at all.
-func truthyBin(op value.BinOp, x, y value.Value) (bool, error) {
-	switch x.Kind() {
-	case value.Numbr:
-		switch y.Kind() {
-		case value.Numbr:
-			if res, ok := value.RawCmpNumbr(op, x.Numbr(), y.Numbr()); ok {
-				return res, nil
-			}
-		case value.Numbar:
-			if res, ok := value.RawCmpNumbar(op, float64(x.Numbr()), y.Numbar()); ok {
-				return res, nil
-			}
-		}
-	case value.Numbar:
-		switch y.Kind() {
-		case value.Numbar:
-			if res, ok := value.RawCmpNumbar(op, x.Numbar(), y.Numbar()); ok {
-				return res, nil
-			}
-		case value.Numbr:
-			if res, ok := value.RawCmpNumbar(op, x.Numbar(), float64(y.Numbr())); ok {
-				return res, nil
-			}
-		}
-	}
-	v, err := binFast(op, x, y)
 	if err != nil {
+		return err
+	}
+	*dst = v
+	return nil
+}
+
+// binGeneric is binInto's path for operands that are not both numeric,
+// and for the logical operators.
+func binGeneric(dst *value.Value, op value.BinOp, x, y *value.Value) error {
+	v, err := value.Binary(op, *x, *y)
+	if err != nil {
+		return err
+	}
+	*dst = v
+	return nil
+}
+
+// binCast is a binary op stored into a SRSLY private of type k:
+// *dst = Cast(Binary(op, *x, *y), k).
+func binCast(dst *value.Value, op value.BinOp, cl Class, x, y *value.Value, k value.Kind, name string) error {
+	var v value.Value
+	if err := binInto(&v, op, cl, x, y); err != nil {
+		return err
+	}
+	if v.Kind() != k {
+		cv, err := value.Cast(v, k)
+		if err != nil {
+			return fmt.Errorf("assigning to SRSLY %s %s: %w", k, name, err)
+		}
+		v = cv
+	}
+	*dst = v
+	return nil
+}
+
+// convert makes a shared SRSLY scalar read, v, the kind its class
+// promises: a no-op once the owner's WE HAS A has run, a conversion (or
+// its error) while the cell still holds NOOB.
+func convert(v value.Value, cl Class) (value.Value, error) {
+	if cl == classInt {
+		if v.Kind() == value.Numbr {
+			return v, nil
+		}
+		n, err := v.ToNumbr()
+		return value.NewNumbr(n), err
+	}
+	if v.Kind() == value.Numbar {
+		return v, nil
+	}
+	f, err := v.ToNumbar()
+	return value.NewNumbar(f), err
+}
+
+// unInto is *dst = Unary(op, *x).
+func unInto(dst *value.Value, op value.UnOp, cl Class, x *value.Value) error {
+	if cl == 0 {
+		switch x.Kind() {
+		case value.Numbr:
+			cl = classInt
+		case value.Numbar:
+			cl = classFloat
+		default:
+			return unGeneric(dst, op, x)
+		}
+	}
+	var f float64
+	if cl == classInt {
+		n := x.Numbr()
+		if op == value.OpSquar {
+			*dst = value.NewNumbr(n * n)
+			return nil
+		}
+		f = float64(n)
+	} else {
+		f = x.Numbar()
+	}
+	var err error
+	switch op {
+	case value.OpSquar:
+		f *= f
+	case value.OpUnsquar:
+		f, err = value.RawUnsquar(f)
+	case value.OpFlip:
+		f, err = value.RawFlip(f)
+	default:
+		return unGeneric(dst, op, x)
+	}
+	if err != nil {
+		return err
+	}
+	*dst = value.NewNumbar(f)
+	return nil
+}
+
+// unGeneric is unInto's path for NOT and for non-numeric operands.
+func unGeneric(dst *value.Value, op value.UnOp, x *value.Value) error {
+	v, err := value.Unary(op, *x)
+	if err != nil {
+		return err
+	}
+	*dst = v
+	return nil
+}
+
+// truthBin is Binary(op, *x, *y).ToTroof() for a fused compare-and-branch:
+// a numeric comparison never builds the intermediate TROOF.
+func truthBin(op value.BinOp, cl Class, x, y *value.Value) (bool, error) {
+	if cl == 0 {
+		cl = pairClass(x.Kind(), y.Kind())
+	}
+	switch {
+	case cl == classInt:
+		if res, ok := value.RawCmpNumbr(op, x.Numbr(), y.Numbr()); ok {
+			return res, nil
+		}
+	case cl != 0:
+		if res, ok := value.RawCmpNumbar(op, cl.fx(x), cl.fy(y)); ok {
+			return res, nil
+		}
+	}
+	var v value.Value
+	if err := binInto(&v, op, cl, x, y); err != nil {
 		return false, err
 	}
 	return v.ToTroof(), nil
+}
+
+// floatInPlace and intInPlace are the typed bodies of +, - and × on an
+// unwidened class, small enough to inline into the dispatch loop's
+// hottest handlers. They report false, writing nothing, for any other op
+// or class.
+func floatInPlace(dst *value.Value, op value.BinOp, cl Class, x, y *value.Value) bool {
+	if cl != classFloat || !addSubMul(op) {
+		return false
+	}
+	*dst = value.NewNumbar(floatArith(op, x.Numbar(), y.Numbar()))
+	return true
+}
+
+func intInPlace(dst *value.Value, op value.BinOp, cl Class, x, y *value.Value) bool {
+	if cl != classInt || !addSubMul(op) {
+		return false
+	}
+	*dst = value.NewNumbr(intArith(op, x.Numbr(), y.Numbr()))
+	return true
+}
+
+// intCmp is the typed body of the four comparisons on NUMBRs, small
+// enough to inline into the fused compare-and-branch handlers (loop
+// counters are NUMBRs); ok is false for any other op or class.
+func intCmp(op value.BinOp, cl Class, x, y *value.Value) (res, ok bool) {
+	if cl != classInt {
+		return false, false
+	}
+	return value.RawCmpNumbr(op, x.Numbr(), y.Numbr())
+}
+
+// addSubMul reports whether op is SUM, DIFF or PRODUKT OF, the operators
+// whose typed body is one Go expression (value.BinOp lists them first).
+func addSubMul(op value.BinOp) bool { return op <= value.OpProdukt }
+
+// floatArith and intArith evaluate an addSubMul op.
+func floatArith(op value.BinOp, a, b float64) float64 {
+	switch op {
+	case value.OpSum:
+		return a + b
+	case value.OpDiff:
+		return a - b
+	}
+	return a * b
+}
+
+func intArith(op value.BinOp, a, b int64) int64 {
+	switch op {
+	case value.OpSum:
+		return a + b
+	case value.OpDiff:
+		return a - b
+	}
+	return a * b
 }

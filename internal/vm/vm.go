@@ -8,11 +8,22 @@
 // fused superinstructions, each carrying the step weight of the sequence
 // it replaced so budget metering is unchanged. The VM runs one
 // instruction loop per PE over the shmem SPMD runtime with the frame's
-// code, constants, slots and instruction pointer cached in locals, and
-// arithmetic takes unboxed fast paths on NUMBR/NUMBAR operands, so the
-// per-statement cost approaches a single switch dispatch instead of an
-// AST type switch. Disassemble (or `lolrun -dump-bytecode`) renders the
-// fused form.
+// code, constants, slots and instruction pointer cached in locals.
+//
+// Numeric operations are typed from sema's static-kind facts
+// (Symbol.Rep and Info.StaticKind, which compile and gogen read too):
+// the compiler stamps each arithmetic or comparison op, math unary and
+// array subscript whose operand kinds sema knows with an operand class
+// (NUMBR × NUMBR, or float with the NUMBR operands widened), and fusion
+// carries the class into the superinstruction. A classed op reads its
+// operands' raw payloads with no kind dispatch; an unclassed one
+// dispatches on the runtime kinds into the same typed bodies. Operands
+// and results are passed by pointer into the value stack, the slot array
+// and the constant pool, so the 48-byte values are not copied through
+// the helpers, and each result is written in place. A classed op
+// replaces exactly one generic op, so step counts are unchanged.
+// Disassemble (or `lolrun -dump-bytecode`) renders the fused form with
+// each op's class.
 package vm
 
 import (
@@ -159,17 +170,44 @@ type runner struct {
 
 func (r *runner) push(v value.Value) { r.stack = append(r.stack, v) }
 
+// incSlot steps a loop counter that is not a NUMBR by in.B.
+func incSlot(v *value.Value, in *Instr) error {
+	cur, err := v.ToNumbr()
+	if err != nil {
+		return rerr(in.Pos, fmt.Errorf("loop variable %s: %w", in.S, err))
+	}
+	*v = value.NewNumbr(cur + int64(in.B))
+	return nil
+}
+
+// pushSlot grows the stack by one and returns the new top for an
+// operation to write its result into. The slot is not cleared.
+func (r *runner) pushSlot() *value.Value {
+	if n := len(r.stack); n < cap(r.stack) {
+		r.stack = r.stack[:n+1]
+	} else {
+		r.stack = append(r.stack, value.Value{})
+	}
+	return &r.stack[len(r.stack)-1]
+}
+
 func (r *runner) pop() value.Value {
 	v := r.stack[len(r.stack)-1]
 	r.stack = r.stack[:len(r.stack)-1]
 	return v
 }
 
-// popInt pops an array index.
-func (r *runner) popInt(pos token.Pos) (int, error) {
-	i, err := r.pop().ToNumbr()
+// popIndex pops the array index of an element op: raw when the op's
+// class says it is a NUMBR, converted otherwise.
+func (r *runner) popIndex(in *Instr) (int, error) {
+	v := &r.stack[len(r.stack)-1]
+	r.stack = r.stack[:len(r.stack)-1]
+	if in.Class == classInt {
+		return int(v.Numbr()), nil
+	}
+	i, err := v.ToNumbr()
 	if err != nil {
-		return 0, rerr(pos, fmt.Errorf("array index: %w", err))
+		return 0, rerr(in.Pos, fmt.Errorf("array index: %w", err))
 	}
 	return int(i), nil
 }
@@ -234,28 +272,28 @@ func (r *runner) run() error {
 		case OpNop:
 
 		case OpConst:
-			r.push(consts[in.A])
+			*r.pushSlot() = consts[in.A]
 		case OpLoadSlot:
-			r.push(slots[in.A])
+			*r.pushSlot() = slots[in.A]
 		case OpStoreSlot:
-			slots[in.A] = r.pop()
+			t := len(r.stack) - 1
+			slots[in.A] = r.stack[t]
+			r.stack = r.stack[:t]
 		case OpIncSlot:
-			if v := slots[in.A]; v.Kind() == value.Numbr {
-				slots[in.A] = value.NewNumbr(v.Numbr() + int64(in.B))
-			} else {
-				cur, err := v.ToNumbr()
-				if err != nil {
-					return rerr(in.Pos, fmt.Errorf("loop variable %s: %w", in.S, err))
-				}
-				slots[in.A] = value.NewNumbr(cur + int64(in.B))
+			if v := &slots[in.A]; v.Kind() == value.Numbr {
+				*v = value.NewNumbr(v.Numbr() + int64(in.B))
+			} else if err := incSlot(v, in); err != nil {
+				return err
 			}
 		case OpBinary:
-			y, x := r.pop(), r.pop()
-			v, err := binFast(value.BinOp(in.A), x, y)
-			if err != nil {
-				return rerr(in.Pos, err)
+			t := len(r.stack) - 2
+			x, y := &r.stack[t], &r.stack[t+1]
+			if op := value.BinOp(in.A); !floatInPlace(x, op, in.Class, x, y) && !intInPlace(x, op, in.Class, x, y) {
+				if err := binInto(x, op, in.Class, x, y); err != nil {
+					return rerr(in.Pos, err)
+				}
 			}
-			r.push(v)
+			r.stack = r.stack[:t+1]
 		case OpJump:
 			ip = in.A
 		case OpJumpFalse:
@@ -268,140 +306,99 @@ func (r *runner) run() error {
 			}
 
 		case OpFusedConstBinary:
-			t := len(r.stack) - 1
-			v, err := binFast(value.BinOp(in.B), r.stack[t], consts[in.A])
-			if err != nil {
+			t := &r.stack[len(r.stack)-1]
+			if err := binInto(t, value.BinOp(in.B), in.Class, t, &consts[in.A]); err != nil {
 				return rerr(in.Pos, err)
 			}
-			r.stack[t] = v
 		case OpFusedSlotBinary:
-			t := len(r.stack) - 1
-			v, err := binFast(value.BinOp(in.B), r.stack[t], slots[in.A])
-			if err != nil {
+			t := &r.stack[len(r.stack)-1]
+			if err := binInto(t, value.BinOp(in.B), in.Class, t, &slots[in.A]); err != nil {
 				return rerr(in.Pos, err)
 			}
-			r.stack[t] = v
 		case OpFusedSlotConstBinary:
-			v, err := binFast(value.BinOp(in.B), slots[in.A], consts[in.C])
-			if err != nil {
-				return rerr(in.Pos, err)
+			dst, x, y := r.pushSlot(), &slots[in.A], &consts[in.C]
+			if op := value.BinOp(in.B); !floatInPlace(dst, op, in.Class, x, y) && !intInPlace(dst, op, in.Class, x, y) {
+				if err := binInto(dst, op, in.Class, x, y); err != nil {
+					return rerr(in.Pos, err)
+				}
 			}
-			r.push(v)
 		case OpFusedSlotSlotBinary:
-			v, err := binFast(value.BinOp(in.B), slots[in.A], slots[in.C])
-			if err != nil {
-				return rerr(in.Pos, err)
+			dst, x, y := r.pushSlot(), &slots[in.A], &slots[in.C]
+			if op := value.BinOp(in.B); !floatInPlace(dst, op, in.Class, x, y) && !intInPlace(dst, op, in.Class, x, y) {
+				if err := binInto(dst, op, in.Class, x, y); err != nil {
+					return rerr(in.Pos, err)
+				}
 			}
-			r.push(v)
-		case OpFusedElemSlotBinary:
-			i, err := r.popInt(in.Pos)
-			if err != nil {
-				return err
-			}
-			av := slots[in.A]
-			if av.Kind() != value.ArrayK {
-				return rerrf(in.Pos, "%s is not an array", in.S)
-			}
-			y, err := av.Array().GetChecked(i)
-			if err != nil {
-				return rerr(in.Pos, err)
-			}
-			t := len(r.stack) - 1
-			v, err := binFast(value.BinOp(in.B), r.stack[t], y)
-			if err != nil {
-				return rerr(in.Pos, err)
-			}
-			r.stack[t] = v
 		case OpFusedBinaryStoreSlot:
 			t := len(r.stack) - 2
-			v, err := binFast(value.BinOp(in.B), r.stack[t], r.stack[t+1])
-			if err != nil {
-				return rerr(in.Pos, err)
+			dst, x, y := &slots[in.A], &r.stack[t], &r.stack[t+1]
+			if op := value.BinOp(in.B); !floatInPlace(dst, op, in.Class, x, y) && !intInPlace(dst, op, in.Class, x, y) {
+				if err := binInto(dst, op, in.Class, x, y); err != nil {
+					return rerr(in.Pos, err)
+				}
 			}
 			r.stack = r.stack[:t]
-			slots[in.A] = v
 		case OpFusedBinaryStoreSlotCast:
 			t := len(r.stack) - 2
-			v, err := binFast(value.BinOp(in.B), r.stack[t], r.stack[t+1])
-			if err != nil {
+			if err := binCast(&slots[in.A], value.BinOp(in.B), in.Class, &r.stack[t], &r.stack[t+1], value.Kind(in.C), in.S); err != nil {
 				return rerr(in.Pos, err)
 			}
 			r.stack = r.stack[:t]
-			if v.Kind() != value.Kind(in.C) {
-				cv, err := value.Cast(v, value.Kind(in.C))
-				if err != nil {
-					return rerr(in.Pos, fmt.Errorf("assigning to SRSLY %s %s: %w", value.Kind(in.C), in.S, err))
-				}
-				v = cv
-			}
-			slots[in.A] = v
 		case OpFusedSlotJump:
 			if slots[in.A].ToTroof() == (in.B&fuseJumpOnTrue != 0) {
 				ip = in.D
 			}
 		case OpFusedSlotConstCmpJump:
-			res, err := truthyBin(value.BinOp(in.B&fuseOpMask), slots[in.A], consts[in.C])
-			if err != nil {
-				return rerr(in.Pos, err)
+			op, x, y := value.BinOp(in.B&fuseOpMask), &slots[in.A], &consts[in.C]
+			res, ok := intCmp(op, in.Class, x, y)
+			if !ok {
+				var err error
+				if res, err = truthBin(op, in.Class, x, y); err != nil {
+					return rerr(in.Pos, err)
+				}
 			}
 			if res == (in.B&fuseJumpOnTrue != 0) {
 				ip = in.D
 			}
 		case OpFusedSlotSlotCmpJump:
-			res, err := truthyBin(value.BinOp(in.B&fuseOpMask), slots[in.A], slots[in.C])
-			if err != nil {
-				return rerr(in.Pos, err)
+			op, x, y := value.BinOp(in.B&fuseOpMask), &slots[in.A], &slots[in.C]
+			res, ok := intCmp(op, in.Class, x, y)
+			if !ok {
+				var err error
+				if res, err = truthBin(op, in.Class, x, y); err != nil {
+					return rerr(in.Pos, err)
+				}
 			}
 			if res == (in.B&fuseJumpOnTrue != 0) {
 				ip = in.D
 			}
 		case OpFusedSlotConstBinaryStore:
-			v, err := binFast(value.BinOp(in.B), slots[in.A], consts[in.C])
-			if err != nil {
-				return rerr(in.Pos, err)
+			dst, x, y := &slots[in.D], &slots[in.A], &consts[in.C]
+			if op := value.BinOp(in.B); !floatInPlace(dst, op, in.Class, x, y) && !intInPlace(dst, op, in.Class, x, y) {
+				if err := binInto(dst, op, in.Class, x, y); err != nil {
+					return rerr(in.Pos, err)
+				}
 			}
-			slots[in.D] = v
 		case OpFusedSlotConstBinaryStoreCast:
-			v, err := binFast(value.BinOp(in.B&fuseOpMask), slots[in.A], consts[in.C])
-			if err != nil {
+			if err := binCast(&slots[in.D], value.BinOp(in.B&fuseOpMask), in.Class, &slots[in.A], &consts[in.C], value.Kind(in.B>>fuseKindShift), in.S); err != nil {
 				return rerr(in.Pos, err)
 			}
-			if k := value.Kind(in.B >> fuseKindShift); v.Kind() != k {
-				cv, err := value.Cast(v, k)
-				if err != nil {
-					return rerr(in.Pos, fmt.Errorf("assigning to SRSLY %s %s: %w", k, in.S, err))
-				}
-				v = cv
-			}
-			slots[in.D] = v
 		case OpFusedSlotSlotBinaryStore:
-			v, err := binFast(value.BinOp(in.B), slots[in.A], slots[in.C])
-			if err != nil {
-				return rerr(in.Pos, err)
+			dst, x, y := &slots[in.D], &slots[in.A], &slots[in.C]
+			if op := value.BinOp(in.B); !floatInPlace(dst, op, in.Class, x, y) && !intInPlace(dst, op, in.Class, x, y) {
+				if err := binInto(dst, op, in.Class, x, y); err != nil {
+					return rerr(in.Pos, err)
+				}
 			}
-			slots[in.D] = v
 		case OpFusedSlotSlotBinaryStoreCast:
-			v, err := binFast(value.BinOp(in.B&fuseOpMask), slots[in.A], slots[in.C])
-			if err != nil {
+			if err := binCast(&slots[in.D], value.BinOp(in.B&fuseOpMask), in.Class, &slots[in.A], &slots[in.C], value.Kind(in.B>>fuseKindShift), in.S); err != nil {
 				return rerr(in.Pos, err)
 			}
-			if k := value.Kind(in.B >> fuseKindShift); v.Kind() != k {
-				cv, err := value.Cast(v, k)
-				if err != nil {
-					return rerr(in.Pos, fmt.Errorf("assigning to SRSLY %s %s: %w", k, in.S, err))
-				}
-				v = cv
-			}
-			slots[in.D] = v
 		case OpFusedIncSlotJump:
-			if v := slots[in.A]; v.Kind() == value.Numbr {
-				slots[in.A] = value.NewNumbr(v.Numbr() + int64(in.B))
-			} else {
-				cur, err := v.ToNumbr()
-				if err != nil {
-					return rerr(in.Pos, fmt.Errorf("loop variable %s: %w", in.S, err))
-				}
-				slots[in.A] = value.NewNumbr(cur + int64(in.B))
+			if v := &slots[in.A]; v.Kind() == value.Numbr {
+				*v = value.NewNumbr(v.Numbr() + int64(in.B))
+			} else if err := incSlot(v, in); err != nil {
+				return err
 			}
 			ip = in.D
 
@@ -427,23 +424,24 @@ func (r *runner) run() error {
 			}
 
 		case OpLoadHeap:
+			var v value.Value
+			var err error
 			if in.B&flagRemote != 0 {
-				t, err := r.predTarget(in.Pos)
-				if err != nil {
-					return err
+				t, terr := r.predTarget(in.Pos)
+				if terr != nil {
+					return terr
 				}
-				v, err := r.pe.Get(t, in.A)
-				if err != nil {
-					return rerr(in.Pos, err)
-				}
-				r.push(v)
+				v, err = r.pe.Get(t, in.A)
 			} else {
-				v, err := r.pe.LocalGet(in.A)
-				if err != nil {
-					return rerr(in.Pos, err)
-				}
-				r.push(v)
+				v, err = r.pe.LocalGet(in.A)
 			}
+			if err == nil && in.Class != 0 {
+				v, err = convert(v, in.Class)
+			}
+			if err != nil {
+				return rerr(in.Pos, err)
+			}
+			r.push(v)
 		case OpLoadHeapArr:
 			t, _, err := r.target(in)
 			if err != nil {
@@ -476,7 +474,7 @@ func (r *runner) run() error {
 				return rerr(in.Pos, err)
 			}
 		case OpLoadElem:
-			i, err := r.popInt(in.Pos)
+			i, err := r.popIndex(in)
 			if err != nil {
 				return err
 			}
@@ -495,7 +493,7 @@ func (r *runner) run() error {
 			}
 			r.push(v)
 		case OpStoreElem:
-			i, err := r.popInt(in.Pos)
+			i, err := r.popIndex(in)
 			if err != nil {
 				return err
 			}
@@ -513,7 +511,7 @@ func (r *runner) run() error {
 				return rerr(in.Pos, err)
 			}
 		case OpLoadElemSlot:
-			i, err := r.popInt(in.Pos)
+			i, err := r.popIndex(in)
 			if err != nil {
 				return err
 			}
@@ -527,7 +525,7 @@ func (r *runner) run() error {
 			}
 			r.push(v)
 		case OpStoreElemSlot:
-			i, err := r.popInt(in.Pos)
+			i, err := r.popIndex(in)
 			if err != nil {
 				return err
 			}
@@ -563,12 +561,10 @@ func (r *runner) run() error {
 			}
 
 		case OpUnary:
-			t := len(r.stack) - 1
-			v, err := unFast(value.UnOp(in.A), r.stack[t])
-			if err != nil {
+			t := &r.stack[len(r.stack)-1]
+			if err := unInto(t, value.UnOp(in.A), in.Class, t); err != nil {
 				return rerr(in.Pos, err)
 			}
-			r.stack[t] = v
 		case OpCast:
 			v, err := value.Cast(r.pop(), value.Kind(in.A))
 			if err != nil {
