@@ -22,9 +22,10 @@
 //   - internal/interp, vm, compile: the three execution engines spanning
 //     the classic design space — a tree-walking interpreter, a
 //     slot-addressed bytecode VM (with a superinstruction fusion pass,
-//     unboxed arithmetic fast paths, and weight-preserving step metering;
-//     `lolrun -dump-bytecode` prints the fused listing), and a closure
-//     compiler (select one with `lolrun -backend=interp|vm|compile`);
+//     arithmetic typed from sema's static kinds, and weight-preserving
+//     step metering; `lolrun -dump-bytecode` prints the fused listing),
+//     and a closure compiler (select one with
+//     `lolrun -backend=interp|vm|compile`);
 //   - internal/gogen: the LOLCODE-to-Go source emitter (the paper's lcc
 //     emitted C + OpenSHMEM), with a typed fast path that unboxes
 //     statically-known NUMBR/NUMBAR locals to raw Go scalars; emitted
