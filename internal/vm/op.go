@@ -233,9 +233,6 @@ type Instr struct {
 
 func (in Instr) String() string {
 	s := fmt.Sprintf("%-16s A=%d B=%d", in.Op, in.A, in.B)
-	if in.Class != 0 {
-		s += " class=" + in.Class.String()
-	}
 	if in.C != 0 || in.D != 0 {
 		s += fmt.Sprintf(" C=%d D=%d", in.C, in.D)
 	}
