@@ -411,7 +411,7 @@ func benchBackendKernels(b *testing.B, backend core.Backend) {
 	}{
 		{"montecarlo", experiments.GenMonteCarlo(2_000, 2), 2},
 		{"nbody", experiments.GenNBody(8, 2), 2},
-		{"arith", arithLoop(5_000), 1},
+		{"arith", experiments.GenArithLoop(5_000), 1},
 	}
 	for _, k := range kernels {
 		k := k
@@ -441,19 +441,6 @@ func benchBackendKernels(b *testing.B, backend core.Backend) {
 			}
 		})
 	}
-}
-
-// arithLoop is experiment E1's scalar-arith loop: one SRSLY NUMBAR
-// accumulator and a loop counter.
-func arithLoop(iters int) string {
-	return fmt.Sprintf(`HAI 1.2
-I HAS A acc ITZ SRSLY A NUMBAR AN ITZ 0.0
-IM IN YR loop UPPIN YR i TIL BOTH SAEM i AN %d
-  acc R SUM OF acc AN FLIP OF SUM OF i AN 1
-IM OUTTA YR loop
-VISIBLE acc
-KTHXBYE
-`, iters)
 }
 
 func BenchmarkBackendInterp(b *testing.B)  { benchBackendKernels(b, core.BackendInterp) }

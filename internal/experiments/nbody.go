@@ -141,7 +141,7 @@ func Backends(w io.Writer) ([]BackendsResult, error) {
 		src  string
 		np   int
 	}{
-		{"scalar-arith (50k iters)", genArithLoop(50_000), 1},
+		{"scalar-arith (50k iters)", GenArithLoop(50_000), 1},
 		{"array-stride (20k iters)", genArrayLoop(20_000), 1},
 		{"montecarlo 20k darts np=2", GenMonteCarlo(20_000, 2), 2},
 		{"nbody 16p x 4steps np=2", GenNBody(16, 4), 2},
@@ -192,7 +192,9 @@ func Backends(w io.Writer) ([]BackendsResult, error) {
 	return results, nil
 }
 
-func genArithLoop(iters int) string {
+// GenArithLoop builds experiment E1's scalar-arith loop: a SRSLY NUMBAR
+// accumulator summing 1/(i+1) over iters iterations of a loop counter.
+func GenArithLoop(iters int) string {
 	return fmt.Sprintf(`HAI 1.2
 I HAS A acc ITZ SRSLY A NUMBAR AN ITZ 0.0
 IM IN YR loop UPPIN YR i TIL BOTH SAEM i AN %d

@@ -122,6 +122,29 @@ SRS name R "abc"
 VISIBLE n
 VISIBLE SUM OF n AN 1
 KTHXBYE`},
+	// A whole-array store into a private array's slot before its Decl
+	// ran, or after a scalar store replaced the array, puts an array of
+	// another element type there: a'Z 0 is a NUMBAR in both.
+	{name: "array_store_after_oic", src: `HAI 1.2
+I HAS A b ITZ SRSLY LOTZ A NUMBARS AN THAR IZ 3
+b'Z 0 R 2.5
+b'Z 2 R 7.0
+BOTH SAEM 1 AN 2, O RLY?
+YA RLY
+  I HAS A a ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 1
+OIC
+a R b
+VISIBLE SUM OF a'Z 0 AN 1
+VISIBLE b'Z a'Z 0
+KTHXBYE`},
+	{name: "array_store_after_scalar", src: `HAI 1.2
+I HAS A b ITZ SRSLY LOTZ A NUMBARS AN THAR IZ 1
+b'Z 0 R 2.5
+I HAS A a ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 1
+a R 5
+a R b
+VISIBLE SUM OF a'Z 0 AN 1
+KTHXBYE`},
 	// The pos_ edges fail inside a shape the VM fuses; the error must
 	// name the operator, as it does unfused.
 	{name: "pos_quoshunt", src: `HAI 1.2

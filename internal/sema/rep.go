@@ -38,7 +38,12 @@ func (info *Info) inferFrame(scope *Scope, body []ast.Stmt) {
 	// so their optimistic reps are already in place.
 	for _, sym := range scope.Order {
 		use := &u.syms[sym.Slot]
-		if sym.IsArray || use.undominated {
+		if sym.IsArray {
+			sym.TypedElems = isNumeric(sym.Type) && (sym.Kind == SymShared ||
+				!use.undominated && !use.killed && len(use.assigns) == 0 && !u.srsWrite)
+			continue
+		}
+		if use.undominated {
 			continue
 		}
 		switch {
@@ -234,9 +239,9 @@ func (u *frameUses) visit(n ast.Node) bool {
 }
 
 // StaticKind reports the kind e is guaranteed to evaluate to, when that
-// kind is NUMBR or NUMBAR. It reads each symbol's Rep, a typed array's
-// element type (every element store casts) and a shared SRSLY scalar's
-// declared type (every store casts, so a converting read yields it).
+// kind is NUMBR or NUMBAR. It reads each symbol's Rep, a TypedElems
+// array's element type and a shared SRSLY scalar's declared type (every
+// store casts, so a converting read yields it).
 // Engines lower an expression it accepts to raw int64 or float64 code.
 func (info *Info) StaticKind(e ast.Expr) (value.Kind, bool) {
 	switch n := e.(type) {
@@ -257,8 +262,7 @@ func (info *Info) StaticKind(e ast.Expr) (value.Kind, bool) {
 		}
 		return 0, false
 	case *ast.Index:
-		sym := symOf(n.Arr)
-		if sym != nil && sym.IsArray && isNumeric(sym.Type) {
+		if sym := symOf(n.Arr); sym != nil && sym.TypedElems {
 			return sym.Type, true
 		}
 		return 0, false

@@ -250,3 +250,78 @@ KTHXBYE`)
 		}
 	}
 }
+
+// TestTypedElems pins which arrays count their elements at the element
+// type, one row per rule in the package doc. Function symbols are named
+// "f.x".
+func TestTypedElems(t *testing.T) {
+	cases := []struct {
+		name, body string
+		want       map[string]bool
+	}{
+		{"dominated", `
+WE HAS A sh ITZ SRSLY LOTZ A NUMBARS AN THAR IZ 1
+I HAS A n ITZ LOTZ A NUMBRS AN THAR IZ 1
+I HAS A f ITZ SRSLY LOTZ A NUMBARS AN THAR IZ 1
+I HAS A y ITZ LOTZ A YARNS AN THAR IZ 1
+n'Z 0 R f'Z 0
+VISIBLE SUM OF n'Z 0 AN sh'Z 0`,
+			map[string]bool{"sh": true, "n": true, "f": true, "y": false}},
+		{"undominated", `
+BOTH SAEM 1 AN 2, O RLY?
+YA RLY
+  I HAS A a ITZ LOTZ A NUMBRS AN THAR IZ 1
+OIC
+VISIBLE a'Z 0
+IM IN YR l UPPIN YR k TIL BOTH SAEM k AN 0
+  I HAS A z ITZ LOTZ A NUMBARS AN THAR IZ 1
+IM OUTTA YR l
+VISIBLE z'Z 0`,
+			map[string]bool{"a": false, "z": false}},
+		{"whole-array stores", `
+I HAS A b ITZ LOTZ A NUMBARS AN THAR IZ 1
+I HAS A r ITZ LOTZ A NUMBARS AN THAR IZ 1
+I HAS A g ITZ LOTZ A NUMBRS AN THAR IZ 1
+I HAS A c ITZ LOTZ A NUMBRS AN THAR IZ 1
+r R b
+GIMMEH g
+c IS NOW A NUMBAR`,
+			map[string]bool{"b": true, "r": false, "g": false, "c": false}},
+		{"SRS target in the frame", `
+WE HAS A sh ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 1
+I HAS A a ITZ LOTZ A NUMBRS AN THAR IZ 1
+SRS "a" R 5
+HOW IZ I f
+  I HAS A a ITZ LOTZ A NUMBRS AN THAR IZ 1
+  VISIBLE a'Z 0
+IF U SAY SO`,
+			map[string]bool{"sh": true, "a": false, "f.a": true}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			info := checked(t, "HAI 1.2"+c.body+"\nKTHXBYE")
+			got := map[string]bool{}
+			add := func(prefix string, scope *sema.Scope) {
+				for _, sym := range scope.Order {
+					if sym.IsArray {
+						got[prefix+sym.Name] = sym.TypedElems
+					}
+				}
+			}
+			add("", info.Main)
+			for name, fi := range info.Funcs {
+				add(name+".", fi.Scope)
+			}
+			for name, typed := range got {
+				if want, ok := c.want[name]; !ok || typed != want {
+					t.Errorf("%s: TypedElems %v, want %v (listed %v)", name, typed, want, ok)
+				}
+			}
+			for name := range c.want {
+				if _, ok := got[name]; !ok {
+					t.Errorf("no array %s", name)
+				}
+			}
+		})
+	}
+}

@@ -34,6 +34,16 @@
 // expressions guaranteed to be a NUMBR or NUMBAR, counting a shared
 // SRSLY NUMBR or NUMBAR scalar at its declared type.
 //
+// An element of a NUMBR or NUMBAR array counts at the array's element
+// type when the array is TypedElems. Every element store casts, so a
+// shared array always is: its heap cell keeps its declared type. A
+// private array's slot holds its declared array only after its Decl has
+// run, and a whole-array store into a slot that holds no array replaces
+// the slot, with a value of any kind. So a private array is TypedElems
+// when its Decl dominates every reference and nothing in its frame
+// stores to the whole array: no R, GIMMEH or IS NOW A names it, and the
+// frame has no SRS target.
+//
 // Three engines read these facts: the closure compiler and the Go
 // emitter lower such expressions to raw int64 and float64 code, and the
 // bytecode VM stamps the operations over them with a typed operand class.
@@ -113,6 +123,9 @@ type Symbol struct {
 	Heap    int  // symmetric heap index for shared symbols; -1 otherwise
 	Lock    int  // lock index for Sharin symbols; -1 otherwise
 	Rep     Rep  // how a compiled engine may hold it (see the package doc)
+	// TypedElems: every element read of this NUMBR or NUMBAR array
+	// yields Type (see the package doc).
+	TypedElems bool
 }
 
 // Scope is a flat name table for one frame (the main program or one

@@ -6,7 +6,6 @@ package vm_test
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -62,19 +61,6 @@ func minCompletingBudget(t *testing.T, p *vm.Program, np int, hi int64) int64 {
 	return lo
 }
 
-// arithLoop is experiment E1's scalar-arith loop, the third program of
-// the kernels benchmark.
-func arithLoop(iters int) string {
-	return fmt.Sprintf(`HAI 1.2
-I HAS A acc ITZ SRSLY A NUMBAR AN ITZ 0.0
-IM IN YR loop UPPIN YR i TIL BOTH SAEM i AN %d
-  acc R SUM OF acc AN FLIP OF SUM OF i AN 1
-IM OUTTA YR loop
-VISIBLE acc
-KTHXBYE
-`, iters)
-}
-
 // TestStepBudgetInvariantFusedVsUnfused is the S2 acceptance test: for
 // each E1 kernel, the smallest completing budget must be IDENTICAL with
 // fusion on and off — i.e. fused superinstructions meter exactly the
@@ -90,7 +76,7 @@ func TestStepBudgetInvariantFusedVsUnfused(t *testing.T) {
 	}{
 		"montecarlo": {experiments.GenMonteCarlo(60, 2), 2, 1526},
 		"nbody":      {experiments.GenNBody(4, 1), 2, 2290},
-		"arith":      {arithLoop(100), 1, 1314},
+		"arith":      {experiments.GenArithLoop(100), 1, 1314},
 	}
 	for name, k := range kernels {
 		t.Run(name, func(t *testing.T) {

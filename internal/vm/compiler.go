@@ -586,14 +586,13 @@ func (c *compiler) loadIndex(n *ast.Index) error {
 	if err != nil {
 		return err
 	}
-	cl, err := c.subscript(n)
-	if err != nil {
+	if err := c.expr(n.IndexE); err != nil {
 		return err
 	}
 	if sym.Kind == sema.SymShared {
-		c.emit(Instr{Op: OpLoadElem, Class: cl, A: sym.Heap, B: remoteFlag(n.Arr.Space), Pos: n.Position})
+		c.emit(Instr{Op: OpLoadElem, A: sym.Heap, B: remoteFlag(n.Arr.Space), Pos: n.Position})
 	} else {
-		c.emit(Instr{Op: OpLoadElemSlot, Class: cl, A: sym.Slot, S: n.Arr.Name, Pos: n.Position})
+		c.emit(Instr{Op: OpLoadElemSlot, A: sym.Slot, S: n.Arr.Name, Pos: n.Position})
 	}
 	return nil
 }
@@ -603,26 +602,15 @@ func (c *compiler) storeIndex(n *ast.Index) error {
 	if err != nil {
 		return err
 	}
-	cl, err := c.subscript(n)
-	if err != nil {
+	if err := c.expr(n.IndexE); err != nil {
 		return err
 	}
 	if sym.Kind == sema.SymShared {
-		c.emit(Instr{Op: OpStoreElem, Class: cl, A: sym.Heap, B: remoteFlag(n.Arr.Space), Pos: n.Position})
+		c.emit(Instr{Op: OpStoreElem, A: sym.Heap, B: remoteFlag(n.Arr.Space), Pos: n.Position})
 	} else {
-		c.emit(Instr{Op: OpStoreElemSlot, Class: cl, A: sym.Slot, S: n.Arr.Name, Pos: n.Position})
+		c.emit(Instr{Op: OpStoreElemSlot, A: sym.Slot, S: n.Arr.Name, Pos: n.Position})
 	}
 	return nil
-}
-
-// subscript emits an index expression and returns the class of the
-// element op that pops it: classInt when the index is statically a
-// NUMBR, which the op then pops without a conversion.
-func (c *compiler) subscript(n *ast.Index) (Class, error) {
-	if k, ok := c.info.StaticKind(n.IndexE); ok && k == value.Numbr {
-		return classInt, c.typed(n.IndexE, k)
-	}
-	return 0, c.expr(n.IndexE)
 }
 
 // --------------------------------------------------------------- expressions

@@ -11,7 +11,7 @@ import (
 // per section, for `lolrun -dump-bytecode` and the golden tests that pin
 // the fusion pass's output. Fused superinstructions print their step
 // weight so metering is auditable from the listing alone, and typed
-// operations their class: "SUM OF:f", "BOTH SAEM:i", "load.elem h0[:i]".
+// operations their class: "SUM OF:f", "BOTH SAEM:i", "load.heap h0:i".
 func Disassemble(p *Program) string {
 	var b strings.Builder
 	disasmChunk(&b, p.Main)
@@ -81,14 +81,12 @@ func disasmOperands(c *Chunk, in *Instr) string {
 	case OpStoreSlotCast:
 		return fmt.Sprintf("s%d as %s%s", in.A, value.Kind(in.B), name())
 	case OpLoadElemSlot, OpStoreElemSlot, OpDeclArrSlot:
-		return fmt.Sprintf("s%d%s", in.A, subscriptMark(in)) + name()
+		return fmt.Sprintf("s%d%s", in.A, name())
 	case OpLoadHeap, OpLoadHeapArr, OpStoreHeap, OpStoreHeapArr,
 		OpLoadElem, OpStoreElem, OpDeclArrHeap, OpInitHeap:
 		s := fmt.Sprintf("h%d", in.A)
 		if in.Op == OpLoadHeap {
 			s += classMark(in.Class)
-		} else {
-			s += subscriptMark(in)
 		}
 		if in.B&flagRemote != 0 {
 			s += " ur"
@@ -141,13 +139,4 @@ func disasmOperands(c *Chunk, in *Instr) string {
 		return fmt.Sprintf("s%d = s%d %s s%d as %s%s", in.D, in.A, binOpStr(in.B, in.Class), in.C, value.Kind(in.B>>fuseKindShift), name())
 	}
 	return ""
-}
-
-// subscriptMark renders an element op's class: "[:i]" when it pops its
-// index raw as a NUMBR.
-func subscriptMark(in *Instr) string {
-	if in.Class == 0 {
-		return ""
-	}
-	return "[" + classMark(in.Class) + "]"
 }

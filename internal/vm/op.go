@@ -260,9 +260,8 @@ type Chunk struct {
 // the operands' kinds, so the VM reads their raw payloads with no Kind()
 // dispatch:
 //
-//   - classInt: a NUMBR × NUMBR binary op, a unary op on a NUMBR, an
-//     array subscript that is a NUMBR, or a shared scalar load that must
-//     yield a NUMBR;
+//   - classInt: a NUMBR × NUMBR binary op, a unary op on a NUMBR, or a
+//     shared scalar load that must yield a NUMBR;
 //   - classFloat: float arithmetic, with widenX and widenY marking the
 //     operands that are NUMBRs and widen to float64, exactly as
 //     value.Binary widens mixed operands. A unary op or a shared scalar
@@ -511,36 +510,6 @@ func truthBin(op value.BinOp, cl Class, x, y *value.Value) (bool, error) {
 		return false, err
 	}
 	return v.ToTroof(), nil
-}
-
-// floatInPlace and intInPlace are the typed bodies of +, - and × on an
-// unwidened class, small enough to inline into the dispatch loop's
-// hottest handlers. They report false, writing nothing, for any other op
-// or class.
-func floatInPlace(dst *value.Value, op value.BinOp, cl Class, x, y *value.Value) bool {
-	if cl != classFloat || !addSubMul(op) {
-		return false
-	}
-	*dst = value.NewNumbar(floatArith(op, x.Numbar(), y.Numbar()))
-	return true
-}
-
-func intInPlace(dst *value.Value, op value.BinOp, cl Class, x, y *value.Value) bool {
-	if cl != classInt || !addSubMul(op) {
-		return false
-	}
-	*dst = value.NewNumbr(intArith(op, x.Numbr(), y.Numbr()))
-	return true
-}
-
-// intCmp is the typed body of the four comparisons on NUMBRs, small
-// enough to inline into the fused compare-and-branch handlers (loop
-// counters are NUMBRs); ok is false for any other op or class.
-func intCmp(op value.BinOp, cl Class, x, y *value.Value) (res, ok bool) {
-	if cl != classInt {
-		return false, false
-	}
-	return value.RawCmpNumbr(op, x.Numbr(), y.Numbr())
 }
 
 // addSubMul reports whether op is SUM, DIFF or PRODUKT OF, the operators

@@ -12,9 +12,9 @@
 //
 // Numeric operations are typed from sema's static-kind facts
 // (Symbol.Rep and Info.StaticKind, which compile and gogen read too):
-// the compiler stamps each arithmetic or comparison op, math unary and
-// array subscript whose operand kinds sema knows with an operand class
-// (NUMBR × NUMBR, or float with the NUMBR operands widened), and fusion
+// the compiler stamps each arithmetic or comparison op and math unary
+// whose operand kinds sema knows with an operand class (NUMBR × NUMBR,
+// or float with the NUMBR operands widened), and fusion
 // carries the class into the superinstruction. A classed op reads its
 // operands' raw payloads with no kind dispatch; an unclassed one
 // dispatches on the runtime kinds into the same typed bodies. Operands
@@ -197,17 +197,11 @@ func (r *runner) pop() value.Value {
 	return v
 }
 
-// popIndex pops the array index of an element op: raw when the op's
-// class says it is a NUMBR, converted otherwise.
-func (r *runner) popIndex(in *Instr) (int, error) {
-	v := &r.stack[len(r.stack)-1]
-	r.stack = r.stack[:len(r.stack)-1]
-	if in.Class == classInt {
-		return int(v.Numbr()), nil
-	}
-	i, err := v.ToNumbr()
+// popInt pops an array index.
+func (r *runner) popInt(pos token.Pos) (int, error) {
+	i, err := r.pop().ToNumbr()
 	if err != nil {
-		return 0, rerr(in.Pos, fmt.Errorf("array index: %w", err))
+		return 0, rerr(pos, fmt.Errorf("array index: %w", err))
 	}
 	return int(i), nil
 }
@@ -288,10 +282,8 @@ func (r *runner) run() error {
 		case OpBinary:
 			t := len(r.stack) - 2
 			x, y := &r.stack[t], &r.stack[t+1]
-			if op := value.BinOp(in.A); !floatInPlace(x, op, in.Class, x, y) && !intInPlace(x, op, in.Class, x, y) {
-				if err := binInto(x, op, in.Class, x, y); err != nil {
-					return rerr(in.Pos, err)
-				}
+			if err := binInto(x, value.BinOp(in.A), in.Class, x, y); err != nil {
+				return rerr(in.Pos, err)
 			}
 			r.stack = r.stack[:t+1]
 		case OpJump:
@@ -316,26 +308,17 @@ func (r *runner) run() error {
 				return rerr(in.Pos, err)
 			}
 		case OpFusedSlotConstBinary:
-			dst, x, y := r.pushSlot(), &slots[in.A], &consts[in.C]
-			if op := value.BinOp(in.B); !floatInPlace(dst, op, in.Class, x, y) && !intInPlace(dst, op, in.Class, x, y) {
-				if err := binInto(dst, op, in.Class, x, y); err != nil {
-					return rerr(in.Pos, err)
-				}
+			if err := binInto(r.pushSlot(), value.BinOp(in.B), in.Class, &slots[in.A], &consts[in.C]); err != nil {
+				return rerr(in.Pos, err)
 			}
 		case OpFusedSlotSlotBinary:
-			dst, x, y := r.pushSlot(), &slots[in.A], &slots[in.C]
-			if op := value.BinOp(in.B); !floatInPlace(dst, op, in.Class, x, y) && !intInPlace(dst, op, in.Class, x, y) {
-				if err := binInto(dst, op, in.Class, x, y); err != nil {
-					return rerr(in.Pos, err)
-				}
+			if err := binInto(r.pushSlot(), value.BinOp(in.B), in.Class, &slots[in.A], &slots[in.C]); err != nil {
+				return rerr(in.Pos, err)
 			}
 		case OpFusedBinaryStoreSlot:
 			t := len(r.stack) - 2
-			dst, x, y := &slots[in.A], &r.stack[t], &r.stack[t+1]
-			if op := value.BinOp(in.B); !floatInPlace(dst, op, in.Class, x, y) && !intInPlace(dst, op, in.Class, x, y) {
-				if err := binInto(dst, op, in.Class, x, y); err != nil {
-					return rerr(in.Pos, err)
-				}
+			if err := binInto(&slots[in.A], value.BinOp(in.B), in.Class, &r.stack[t], &r.stack[t+1]); err != nil {
+				return rerr(in.Pos, err)
 			}
 			r.stack = r.stack[:t]
 		case OpFusedBinaryStoreSlotCast:
@@ -349,46 +332,32 @@ func (r *runner) run() error {
 				ip = in.D
 			}
 		case OpFusedSlotConstCmpJump:
-			op, x, y := value.BinOp(in.B&fuseOpMask), &slots[in.A], &consts[in.C]
-			res, ok := intCmp(op, in.Class, x, y)
-			if !ok {
-				var err error
-				if res, err = truthBin(op, in.Class, x, y); err != nil {
-					return rerr(in.Pos, err)
-				}
+			res, err := truthBin(value.BinOp(in.B&fuseOpMask), in.Class, &slots[in.A], &consts[in.C])
+			if err != nil {
+				return rerr(in.Pos, err)
 			}
 			if res == (in.B&fuseJumpOnTrue != 0) {
 				ip = in.D
 			}
 		case OpFusedSlotSlotCmpJump:
-			op, x, y := value.BinOp(in.B&fuseOpMask), &slots[in.A], &slots[in.C]
-			res, ok := intCmp(op, in.Class, x, y)
-			if !ok {
-				var err error
-				if res, err = truthBin(op, in.Class, x, y); err != nil {
-					return rerr(in.Pos, err)
-				}
+			res, err := truthBin(value.BinOp(in.B&fuseOpMask), in.Class, &slots[in.A], &slots[in.C])
+			if err != nil {
+				return rerr(in.Pos, err)
 			}
 			if res == (in.B&fuseJumpOnTrue != 0) {
 				ip = in.D
 			}
 		case OpFusedSlotConstBinaryStore:
-			dst, x, y := &slots[in.D], &slots[in.A], &consts[in.C]
-			if op := value.BinOp(in.B); !floatInPlace(dst, op, in.Class, x, y) && !intInPlace(dst, op, in.Class, x, y) {
-				if err := binInto(dst, op, in.Class, x, y); err != nil {
-					return rerr(in.Pos, err)
-				}
+			if err := binInto(&slots[in.D], value.BinOp(in.B), in.Class, &slots[in.A], &consts[in.C]); err != nil {
+				return rerr(in.Pos, err)
 			}
 		case OpFusedSlotConstBinaryStoreCast:
 			if err := binCast(&slots[in.D], value.BinOp(in.B&fuseOpMask), in.Class, &slots[in.A], &consts[in.C], value.Kind(in.B>>fuseKindShift), in.S); err != nil {
 				return rerr(in.Pos, err)
 			}
 		case OpFusedSlotSlotBinaryStore:
-			dst, x, y := &slots[in.D], &slots[in.A], &slots[in.C]
-			if op := value.BinOp(in.B); !floatInPlace(dst, op, in.Class, x, y) && !intInPlace(dst, op, in.Class, x, y) {
-				if err := binInto(dst, op, in.Class, x, y); err != nil {
-					return rerr(in.Pos, err)
-				}
+			if err := binInto(&slots[in.D], value.BinOp(in.B), in.Class, &slots[in.A], &slots[in.C]); err != nil {
+				return rerr(in.Pos, err)
 			}
 		case OpFusedSlotSlotBinaryStoreCast:
 			if err := binCast(&slots[in.D], value.BinOp(in.B&fuseOpMask), in.Class, &slots[in.A], &slots[in.C], value.Kind(in.B>>fuseKindShift), in.S); err != nil {
@@ -474,7 +443,7 @@ func (r *runner) run() error {
 				return rerr(in.Pos, err)
 			}
 		case OpLoadElem:
-			i, err := r.popIndex(in)
+			i, err := r.popInt(in.Pos)
 			if err != nil {
 				return err
 			}
@@ -493,7 +462,7 @@ func (r *runner) run() error {
 			}
 			r.push(v)
 		case OpStoreElem:
-			i, err := r.popIndex(in)
+			i, err := r.popInt(in.Pos)
 			if err != nil {
 				return err
 			}
@@ -511,7 +480,7 @@ func (r *runner) run() error {
 				return rerr(in.Pos, err)
 			}
 		case OpLoadElemSlot:
-			i, err := r.popIndex(in)
+			i, err := r.popInt(in.Pos)
 			if err != nil {
 				return err
 			}
@@ -525,7 +494,7 @@ func (r *runner) run() error {
 			}
 			r.push(v)
 		case OpStoreElemSlot:
-			i, err := r.popIndex(in)
+			i, err := r.popInt(in.Pos)
 			if err != nil {
 				return err
 			}
