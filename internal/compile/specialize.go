@@ -750,7 +750,7 @@ func (c *compiler) specializedAssign(n *ast.Assign) (stmtFn, bool) {
 
 	case *ast.Index:
 		sym, err := c.resolve(target.Arr)
-		if err != nil || sym.Kind == sema.SymShared || !sym.IsArray || sym.Type != value.Numbar {
+		if err != nil || sym.Kind == sema.SymShared || !sym.TypedElems || sym.Type != value.Numbar {
 			return nil, false
 		}
 		fx, ok := c.floatExpr(n.Value)

@@ -124,7 +124,8 @@ VISIBLE SUM OF n AN 1
 KTHXBYE`},
 	// A whole-array store into a private array's slot before its Decl
 	// ran, or after a scalar store replaced the array, puts an array of
-	// another element type there: a'Z 0 is a NUMBAR in both.
+	// another element type there: a'Z 0 is a NUMBAR in both, and f'Z 0
+	// stores into n's NUMBRS.
 	{name: "array_store_after_oic", src: `HAI 1.2
 I HAS A b ITZ SRSLY LOTZ A NUMBARS AN THAR IZ 3
 b'Z 0 R 2.5
@@ -144,6 +145,12 @@ I HAS A a ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 1
 a R 5
 a R b
 VISIBLE SUM OF a'Z 0 AN 1
+I HAS A n ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 1
+I HAS A f ITZ SRSLY LOTZ A NUMBARS AN THAR IZ 1
+f R 5
+f R n
+f'Z 0 R 2.5
+VISIBLE n'Z 0
 KTHXBYE`},
 	// The pos_ edges fail inside a shape the VM fuses; the error must
 	// name the operator, as it does unfused.

@@ -49,7 +49,7 @@ import (
 // result-cache key salt — so bumping it on any change that can alter
 // emitted-program behaviour invalidates stale binaries and stale cached
 // native results in one move. Bump it whenever codegen semantics change.
-const Version = "g5"
+const Version = "g6"
 
 // Check reports whether the program can be lowered by this emitter,
 // without paying for emission: it walks the AST for the constructs the
