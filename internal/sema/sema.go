@@ -38,11 +38,12 @@
 // type when the array is TypedElems. Every element store casts, so a
 // shared array always is: its heap cell keeps its declared type. A
 // private array's slot holds its declared array only after its Decl has
-// run, and a whole-array store into a slot that holds no array replaces
-// the slot, with a value of any kind. So a private array is TypedElems
-// when its Decl dominates every reference and nothing in its frame
-// stores to the whole array: no R, GIMMEH or IS NOW A names it, and the
-// frame has no SRS target.
+// run, and a store to the whole array replaces the slot's value with one
+// of any kind unless both are arrays (those copy the elements, or fail
+// on another element type). So a private array is TypedElems when its
+// Decl dominates every reference and nothing in its frame stores to the
+// whole array: no R, GIMMEH or IS NOW A names it, and the frame has no
+// SRS target.
 //
 // Three engines read these facts: the closure compiler and the Go
 // emitter lower such expressions to raw int64 and float64 code, and the
