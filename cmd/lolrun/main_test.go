@@ -130,9 +130,9 @@ func TestLolrunMaxStepsKillsInfiniteLoop(t *testing.T) {
 	}
 }
 
-// TestLolrunDumpBytecode checks -dump-bytecode prints the fused listing
-// (chunk header, fused superinstructions with step weights) and exits 0
-// without running the program.
+// TestLolrunDumpBytecode checks -dump-bytecode prints the listing (chunk
+// header, the loop's typed arithmetic as a word op, step weights) and
+// exits 0 without running the program.
 func TestLolrunDumpBytecode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("toolchain test")
@@ -152,7 +152,7 @@ func TestLolrunDumpBytecode(t *testing.T) {
 	if strings.Contains(stdout, "42") {
 		t.Errorf("-dump-bytecode executed the program:\n%s", stdout)
 	}
-	for _, needle := range []string{"== main", "fuse.", "; w="} {
+	for _, needle := range []string{"== main", "w.sum.of.i", "SUM OF:i", "; w="} {
 		if !strings.Contains(stdout, needle) {
 			t.Errorf("listing missing %q:\n%s", needle, stdout)
 		}

@@ -360,11 +360,14 @@ func (n *NumbarLit) Pos() token.Pos { return n.Position }
 func (*NumbarLit) exprNode()        {}
 
 // YarnLit is a string literal. Raw is the undecoded interior; Segs is the
-// decoded segment list including :{var} interpolations.
+// decoded segment list including :{var} interpolations. Refs holds one
+// reference per :{var} segment, in segment order, which sema binds like
+// any other read.
 type YarnLit struct {
 	Position token.Pos
 	Raw      string
 	Segs     []lexer.YarnSegment
+	Refs     []*VarRef
 }
 
 func (n *YarnLit) Pos() token.Pos { return n.Position }

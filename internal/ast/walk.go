@@ -84,6 +84,10 @@ func Walk(n Node, v Visitor) {
 		}
 	case *Srs:
 		Walk(x.X, v)
+	case *YarnLit:
+		for _, r := range x.Refs {
+			Walk(r, v)
+		}
 	}
 }
 

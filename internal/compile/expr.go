@@ -236,15 +236,17 @@ func (c *compiler) yarn(n *ast.YarnLit) (exprFn, error) {
 		read exprFn
 	}
 	segs := make([]seg, len(n.Segs))
+	refs := n.Refs
 	for i, s := range n.Segs {
 		if s.Var == "" {
 			segs[i] = seg{text: s.Text}
 			continue
 		}
-		read, err := c.readVar(&ast.VarRef{Position: n.Position, Name: s.Var})
+		read, err := c.readVar(refs[0])
 		if err != nil {
 			return nil, err
 		}
+		refs = refs[1:]
 		segs[i] = seg{read: read}
 	}
 	return func(e *env) (value.Value, error) {
@@ -264,12 +266,9 @@ func (c *compiler) yarn(n *ast.YarnLit) (exprFn, error) {
 	}, nil
 }
 
-// resolve returns the symbol for a reference, preferring sema annotations.
+// resolve returns the symbol sema bound a reference to.
 func (c *compiler) resolve(v *ast.VarRef) (*sema.Symbol, error) {
 	if s, ok := c.info.Refs[v]; ok {
-		return s, nil
-	}
-	if s, ok := c.scope.Names[v.Name]; ok {
 		return s, nil
 	}
 	return nil, fmt.Errorf("compile: %s: unresolved variable %s", v.Position, v.Name)
@@ -604,11 +603,17 @@ func dynamicWrite(e *env, sym *sema.Symbol, sp ast.Space, pos token.Pos, v value
 	if sym.Static && !sym.IsArray {
 		cv, err := value.Cast(v, sym.Type)
 		if err != nil {
-			return rerr(pos, err)
+			return rerr(pos, fmt.Errorf("assigning to SRSLY %s %s: %w", sym.Type, sym.Name, err))
 		}
 		v = cv
 	}
 	if sym.Kind != sema.SymShared {
+		if sym.IsArray && v.Kind() == value.ArrayK {
+			// Private whole-array assignment copies contents (value semantics).
+			if cur := e.frame[sym.Slot]; cur.Kind() == value.ArrayK {
+				return rerr(pos, cur.Array().CopyFrom(v.Array()))
+			}
+		}
 		e.frame[sym.Slot] = v
 		return nil
 	}

@@ -262,7 +262,7 @@ func (c *compiler) floatIndex(n *ast.Index) (floatFn, bool) {
 			}
 			i, err := v.ToNumbr()
 			if err != nil {
-				return 0, rerr(pos, err)
+				return 0, rerr(pos, fmt.Errorf("array index: %w", err))
 			}
 			return i, nil
 		}
@@ -515,7 +515,10 @@ func (c *compiler) intIndex(n *ast.Index) (intFn, bool) {
 				return 0, err
 			}
 			i, err := v.ToNumbr()
-			return i, rerr(pos, err)
+			if err != nil {
+				return 0, rerr(pos, fmt.Errorf("array index: %w", err))
+			}
+			return i, nil
 		}
 	}
 	pos := n.Position

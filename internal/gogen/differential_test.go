@@ -184,6 +184,76 @@ IM IN YR l UPPIN YR i TIL BIGGER i AN w
   VISIBLE i
 IM OUTTA YR l
 KTHXBYE`},
+	// A TXT MAH BFF target out of range fails at the target.
+	{name: "pred_target_pos", src: `HAI 1.2
+WE HAS A x ITZ SRSLY A NUMBR
+TXT MAH BFF MAH FRENZ, UR x R 1
+KTHXBYE`},
+	// A subscript that is not a NUMBR fails with the array-index context.
+	{name: "index_yarn", src: `HAI 1.2
+I HAS A arr ITZ LOTZ A NUMBRS AN THAR IZ 2
+VISIBLE arr'Z "x"
+KTHXBYE`},
+	// An SRS store into a SRSLY private casts with the assignment's
+	// context; into a private array it copies, as R does.
+	{name: "srs_srsly_cast", src: `HAI 1.2
+I HAS A f ITZ SRSLY A NUMBAR AN ITZ 1.5
+SRS "f" R "abc"
+VISIBLE f
+KTHXBYE`},
+	{name: "srs_array_copy", src: `HAI 1.2
+I HAS A a ITZ LOTZ A NUMBRS AN THAR IZ 1
+I HAS A b ITZ LOTZ A NUMBRS AN THAR IZ 1
+I HAS A c ITZ LOTZ A NUMBARS AN THAR IZ 1
+b'Z 0 R 7
+SRS "a" R b
+b'Z 0 R 9
+VISIBLE a'Z 0 " " b'Z 0
+SRS "a" R c
+VISIBLE a'Z 0
+KTHXBYE`},
+	// SRS and :{var} read word symbols, an inferred NUMBR and a SRSLY
+	// NUMBAR, through their words; before its declaration SRS reads NOOB.
+	{name: "srs_read_word", src: `HAI 1.2
+VISIBLE SRS "n"
+I HAS A n ITZ 4
+I HAS A f ITZ SRSLY A NUMBAR AN ITZ 1.5
+n R SUM OF n AN 1
+VISIBLE SRS "n" " " SRS "f"
+VISIBLE "n=:{n} f=:{f}"
+KTHXBYE`},
+	// A SRSLY NUMBR private read after a recursive call holds its own
+	// frame's value.
+	{name: "recursive_word", src: `HAI 1.2
+HOW IZ I sumto YR k
+  I HAS A acc ITZ SRSLY A NUMBR AN ITZ k
+  BOTH SAEM k AN 0, O RLY?
+  YA RLY
+    FOUND YR 0
+  OIC
+  acc R SUM OF acc AN MAEK I IZ sumto YR DIFF OF k AN 1 MKAY A NUMBR
+  FOUND YR acc
+IF U SAY SO
+VISIBLE I IZ sumto YR 5 MKAY
+KTHXBYE`},
+	// An inner loop counting the outer loop's implicit counter restores
+	// it on exit, and :{i} reads the counter inside its own loop.
+	{name: "nested_counter", src: `HAI 1.2
+IM IN YR outer UPPIN YR i TIL BOTH SAEM i AN 2
+  VISIBLE "outer " i
+  IM IN YR inner UPPIN YR i TIL BOTH SAEM i AN 3
+    VISIBLE "inner " i
+  IM OUTTA YR inner
+IM OUTTA YR outer
+KTHXBYE`},
+	{name: "counter_interp", src: `HAI 1.2
+IM IN YR outer UPPIN YR i TIL BOTH SAEM i AN 2
+  VISIBLE "outer :{i}"
+  IM IN YR inner UPPIN YR i TIL BOTH SAEM i AN 3
+    VISIBLE "inner :{i}"
+  IM OUTTA YR inner
+IM OUTTA YR outer
+KTHXBYE`},
 }
 
 // TestKindEdgesInProcess runs every edge on every registered in-process

@@ -247,8 +247,8 @@ func (g *gen) naryExpr(n *ast.NaryExpr) (string, error) {
 	}
 }
 
-// yarn emits a YARN literal; :{var} interpolations are resolved lexically
-// at generation time (their names are static in the source).
+// yarn emits a YARN literal; each :{var} interpolation reads the
+// reference sema bound.
 func (g *gen) yarn(n *ast.YarnLit) (string, error) {
 	if len(n.Segs) == 0 {
 		return `value.NewYarn("")`, nil
@@ -257,15 +257,17 @@ func (g *gen) yarn(n *ast.YarnLit) (string, error) {
 		return fmt.Sprintf("value.NewYarn(%q)", n.Segs[0].Text), nil
 	}
 	parts := make([]string, 0, len(n.Segs))
+	refs := n.Refs
 	for _, s := range n.Segs {
 		if s.Var == "" {
 			parts = append(parts, fmt.Sprintf("%q", s.Text))
 			continue
 		}
-		v, err := g.readVar(&ast.VarRef{Position: n.Position, Name: s.Var})
+		v, err := g.readVar(refs[0])
 		if err != nil {
 			return "", err
 		}
+		refs = refs[1:]
 		parts = append(parts, fmt.Sprintf("(%s).Display()", v))
 	}
 	return fmt.Sprintf("value.NewYarn(%s)", strings.Join(parts, "+")), nil

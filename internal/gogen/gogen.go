@@ -49,7 +49,7 @@ import (
 // result-cache key salt — so bumping it on any change that can alter
 // emitted-program behaviour invalidates stale binaries and stale cached
 // native results in one move. Bump it whenever codegen semantics change.
-const Version = "g6"
+const Version = "g7"
 
 // Check reports whether the program can be lowered by this emitter,
 // without paying for emission: it walks the AST for the constructs the
@@ -316,9 +316,6 @@ func (g *gen) function(fi *sema.FuncInfo) error {
 // symFor resolves a reference the same way the other backends do.
 func (g *gen) symFor(v *ast.VarRef) (*sema.Symbol, error) {
 	if s, ok := g.info.Refs[v]; ok {
-		return s, nil
-	}
-	if s, ok := g.scope.Names[v.Name]; ok {
 		return s, nil
 	}
 	return nil, fmt.Errorf("gogen: %s: unresolved variable %s", v.Position, v.Name)

@@ -371,7 +371,7 @@ func (g *gen) switchStmt(n *ast.Switch) error {
 func (g *gen) loop(n *ast.Loop) error {
 	label := g.label()
 
-	var counter string
+	var counter, saved string
 	var counterRaw bool
 	if n.Var != "" {
 		sym := g.info.Refs[n]
@@ -380,6 +380,13 @@ func (g *gen) loop(n *ast.Loop) error {
 		}
 		counter = goName(sym)
 		counterRaw = sym.Rep == sema.RepInt
+		if sym.Kind == sema.SymLoopVar {
+			// An implicit counter is restored on exit, as the other
+			// engines restore it: an inner loop may count the outer
+			// loop's counter.
+			saved = g.tmp()
+			g.w("%s := %s", saved, counter)
+		}
 		if counterRaw {
 			g.w("%s = 0", counter)
 		} else {
@@ -450,6 +457,9 @@ func (g *gen) loop(n *ast.Loop) error {
 	g.buf.WriteString(body)
 	g.ind--
 	g.w("}")
+	if saved != "" {
+		g.w("%s = %s", counter, saved)
+	}
 	return nil
 }
 

@@ -11,14 +11,11 @@ import (
 
 // symbolFor resolves a VarRef through the symbol sema attached to the node
 // during slot resolution — a pointer load, not a map lookup; this is the
-// variable-access hot path. Synthetic references built at runtime (SRS,
-// :{var} interpolation) carry no annotation and fall back to the live name
-// table.
+// variable-access hot path. SRS resolves its name at runtime and builds
+// its reference with the symbol attached.
 func (ev *evaluator) symbolFor(v *ast.VarRef) *sema.Symbol {
-	if s, ok := v.Sym.(*sema.Symbol); ok {
-		return s
-	}
-	return ev.lookup(v.Name)
+	s, _ := v.Sym.(*sema.Symbol)
+	return s
 }
 
 // space resolves which PE a reference addresses: the local PE for
@@ -370,23 +367,24 @@ func (ev *evaluator) evalNary(n *ast.NaryExpr) (value.Value, error) {
 	}
 }
 
-// evalYarn assembles a YARN literal, resolving :{var} interpolations
-// against the live scope.
+// evalYarn assembles a YARN literal, reading each :{var} interpolation
+// through the reference sema bound.
 func (ev *evaluator) evalYarn(n *ast.YarnLit) (value.Value, error) {
 	if len(n.Segs) == 1 && n.Segs[0].Var == "" {
 		return value.NewYarn(n.Segs[0].Text), nil
 	}
 	var out []byte
+	refs := n.Refs
 	for _, seg := range n.Segs {
 		if seg.Var == "" {
 			out = append(out, seg.Text...)
 			continue
 		}
-		ref := &ast.VarRef{Position: n.Position, Name: seg.Var}
-		v, err := ev.readVar(ref)
+		v, err := ev.readVar(refs[0])
 		if err != nil {
 			return value.NOOB, err
 		}
+		refs = refs[1:]
 		out = append(out, v.Display()...)
 	}
 	return value.NewYarn(string(out)), nil

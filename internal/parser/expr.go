@@ -55,7 +55,13 @@ func (p *parser) parseExpr() ast.Expr {
 		if err != nil {
 			p.errorf(t.Pos, "bad YARN literal: %v", err)
 		}
-		return &ast.YarnLit{Position: t.Pos, Raw: t.Text, Segs: segs}
+		var refs []*ast.VarRef
+		for _, seg := range segs {
+			if seg.Var != "" {
+				refs = append(refs, &ast.VarRef{Position: t.Pos, Name: seg.Var})
+			}
+		}
+		return &ast.YarnLit{Position: t.Pos, Raw: t.Text, Segs: segs, Refs: refs}
 
 	case token.KwWin:
 		p.next()

@@ -32,7 +32,7 @@ func (info *Info) inferReps() {
 // is no promotion), and a loop header counting a NUMBR. Demotion only
 // makes more expressions dynamic, so the pass ends.
 func (info *Info) inferFrame(scope *Scope, body []ast.Stmt) {
-	u := &frameUses{scope: scope, syms: make([]symUse, len(scope.Order))}
+	u := &frameUses{syms: make([]symUse, len(scope.Order))}
 	u.stmts(body)
 	// Declaration order: an Init reads only symbols declared before it,
 	// so their optimistic reps are already in place.
@@ -120,7 +120,6 @@ func symOf(v *ast.VarRef) *Symbol {
 // frameUses is what inferFrame needs to know about how one frame uses
 // its symbols.
 type frameUses struct {
-	scope    *Scope
 	syms     []symUse // by slot
 	srsWrite bool     // the frame has an SRS target
 }
@@ -184,13 +183,6 @@ func (u *frameUses) visit(n ast.Node) bool {
 	switch x := n.(type) {
 	case *ast.VarRef:
 		u.ref(symOf(x))
-	case *ast.YarnLit:
-		// :{var} resolves by name in the finished frame at run time.
-		for _, seg := range x.Segs {
-			if seg.Var != "" {
-				u.ref(u.scope.Names[seg.Var])
-			}
-		}
 	case *ast.Assign:
 		if use := u.target(x.Target); use != nil {
 			use.assigns = append(use.assigns, x.Value)

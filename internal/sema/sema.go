@@ -28,11 +28,10 @@
 //   - an SRS target of R, GIMMEH or IS NOW A may name any private in its
 //     frame, so it leaves every non-SRSLY private there boxed.
 //
-// :{var} interpolations resolve by name against the finished frame, as
-// the engines do at run time. Every other symbol is RepBoxed: IT,
-// parameters, arrays and shared scalars. StaticKind then reports the
-// expressions guaranteed to be a NUMBR or NUMBAR, counting a shared
-// SRSLY NUMBR or NUMBAR scalar at its declared type.
+// Every other symbol is RepBoxed: IT, parameters, arrays and shared
+// scalars. StaticKind then reports the expressions guaranteed to be a
+// NUMBR or NUMBAR, counting a shared SRSLY NUMBR or NUMBAR scalar at its
+// declared type.
 //
 // An element of a NUMBR or NUMBAR array counts at the array's element
 // type when the array is TypedElems. Every element store casts, so a
@@ -47,7 +46,16 @@
 //
 // Three engines read these facts: the closure compiler and the Go
 // emitter lower such expressions to raw int64 and float64 code, and the
-// bytecode VM stamps the operations over them with a typed operand class.
+// bytecode VM holds RepInt and RepFloat symbols in raw words and runs
+// the operations over them as word ops.
+//
+// A :{var} interpolation is a read like any other: the parser gives each
+// one a VarRef, and sema binds it to the symbol visible where the YARN
+// appears, such as a loop's implicit counter inside the loop. A name not
+// visible there binds to the finished frame's symbol, a read before the
+// declaration that yields NOOB; a name the frame never declares is an
+// undeclared variable. The engines read the bound reference, and the
+// dominance rule above counts it.
 package sema
 
 import (
@@ -184,6 +192,10 @@ type checker struct {
 	switchDepth int
 	predicated  int  // nesting depth of TXT MAH BFF
 	topLevel    bool // directly in the main body (for WE HAS A placement)
+
+	// late holds the frame's :{var} references that named no visible
+	// symbol where they appear; bindLate binds them once the frame is done.
+	late []*ast.VarRef
 }
 
 // Check analyses prog and returns the binding information.
@@ -214,6 +226,7 @@ func Check(prog *ast.Program) (*Info, error) {
 	c.topLevel = true
 	c.stmts(prog.Body)
 	c.topLevel = false
+	c.bindLate()
 
 	for _, fd := range prog.Funcs {
 		fi := c.info.Funcs[fd.Name]
@@ -234,6 +247,7 @@ func Check(prog *ast.Program) (*Info, error) {
 		c.inFunc = true
 		c.stmts(fd.Body)
 		c.inFunc = false
+		c.bindLate()
 		c.scope = saved
 	}
 
@@ -495,8 +509,35 @@ func (c *checker) expr(e ast.Expr) {
 		c.expr(n.X)
 		c.spaceCheck(n.Position, n.Space)
 	case *ast.YarnLit:
-		// Interpolation names resolve at runtime (SRS-like semantics).
+		for _, r := range n.Refs {
+			if sym, ok := c.scope.Names[r.Name]; ok {
+				c.bind(r, sym)
+			} else {
+				c.late = append(c.late, r)
+			}
+		}
 	}
+}
+
+// bindLate binds each :{var} reference that named no visible symbol
+// where it appears to the finished frame's symbol of that name: a read
+// before the declaration, which yields NOOB. A name the frame never
+// declares, or only as a loop counter whose loop has ended, is
+// undeclared.
+func (c *checker) bindLate() {
+	for _, r := range c.late {
+		if sym, ok := c.scope.Names[r.Name]; ok {
+			c.bind(r, sym)
+		} else {
+			c.errorf(r.Position, "variable %s has not been declared", r.Name)
+		}
+	}
+	c.late = nil
+}
+
+func (c *checker) bind(v *ast.VarRef, sym *Symbol) {
+	c.info.Refs[v] = sym
+	v.Sym = sym
 }
 
 // resolve binds a VarRef to its symbol, enforcing the UR/MAH predication
@@ -511,8 +552,7 @@ func (c *checker) resolve(v *ast.VarRef) *Symbol {
 	if v.Space == ast.SpaceUr && sym.Kind != SymShared {
 		c.errorf(v.Position, "UR %s: only WE HAS A symmetric variables are remotely addressable", v.Name)
 	}
-	c.info.Refs[v] = sym
-	v.Sym = sym
+	c.bind(v, sym)
 	return sym
 }
 

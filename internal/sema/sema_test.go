@@ -239,3 +239,47 @@ KTHXBYE`)
 		t.Fatal("walk found no VarRefs")
 	}
 }
+
+// TestInterpolationBinding checks that sema binds each :{var} reference:
+// to the symbol visible where it appears (an implicit counter inside its
+// loop), else to the finished frame's symbol (a read before the
+// declaration), and reports a name neither has as undeclared.
+func TestInterpolationBinding(t *testing.T) {
+	wantErr(t, "HAI 1.2\nVISIBLE \"start\"\nVISIBLE \"x=:{nosuch}\"\nKTHXBYE", "variable nosuch has not been declared")
+	wantErr(t, `HAI 1.2
+IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 2
+IM OUTTA YR l
+VISIBLE "i=:{i}"
+KTHXBYE`, "variable i has not been declared")
+
+	prog, err := parser.Parse("t.lol", `HAI 1.2
+VISIBLE "w=:{w}"
+I HAS A w ITZ 3
+IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 2
+  VISIBLE "i=:{i} w=:{w}"
+IM OUTTA YR l
+KTHXBYE`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := sema.Check(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]sema.SymKind{"w": sema.SymPrivate, "i": sema.SymLoopVar}
+	refs := 0
+	ast.Walk(prog, func(n ast.Node) bool {
+		if y, ok := n.(*ast.YarnLit); ok {
+			for _, r := range y.Refs {
+				refs++
+				if sym, _ := r.Sym.(*sema.Symbol); sym == nil || sym.Kind != want[r.Name] || info.Refs[r] != sym {
+					t.Errorf(":{%s} bound to %v", r.Name, r.Sym)
+				}
+			}
+		}
+		return true
+	})
+	if refs != 3 {
+		t.Errorf("found %d :{var} references, want 3", refs)
+	}
+}

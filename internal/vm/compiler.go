@@ -2,9 +2,11 @@ package vm
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ast"
 	"repro/internal/sema"
+	"repro/internal/token"
 	"repro/internal/value"
 )
 
@@ -21,10 +23,10 @@ type Options struct {
 // Compile lowers a checked program to bytecode: one chunk for the main
 // program and one per HOW IZ I function. All symbol resolution uses the
 // slot addresses sema attached to the AST, so the emitted code addresses
-// variables by frame slot and symmetric-heap index only — the only
+// variables by frame slot, word and symmetric-heap index only — the only
 // name-keyed lookups left are the ones the language makes dynamic (SRS).
 // After each chunk is sealed, the superinstruction pass (fuse.go) rewrites
-// the hot fixed shapes into fused opcodes.
+// the hot fixed shapes of its dynamic code into fused opcodes.
 func Compile(info *sema.Info) (*Program, error) {
 	return CompileOpts(info, Options{})
 }
@@ -42,39 +44,56 @@ func CompileOpts(info *sema.Info, opts Options) (*Program, error) {
 			continue
 		}
 		p.funcIdx[fd.Name] = len(p.Funcs)
-		p.Funcs = append(p.Funcs, &Chunk{
-			Name:   fd.Name,
-			NSlots: len(fi.Scope.Order),
-			Params: len(fd.Params),
-			Scope:  fi.Scope,
-		})
+		p.Funcs = append(p.Funcs, newChunk(fd.Name, fi.Scope, len(fd.Params)))
 	}
 	for _, fd := range info.Prog.Funcs {
 		fi := info.Funcs[fd.Name]
 		if fi == nil || fi.Decl != fd {
 			continue
 		}
-		c := &compiler{info: info, prog: p, chunk: p.Funcs[p.funcIdx[fd.Name]], scope: fi.Scope, inFunc: true}
+		c := &compiler{info: info, prog: p, chunk: p.Funcs[p.funcIdx[fd.Name]], scope: fi.Scope, inFunc: true, srs: usesSrs(fd.Body)}
 		if err := c.stmts(fd.Body); err != nil {
 			return nil, err
 		}
 		c.emit(Instr{Op: OpReturnIT, Pos: fd.Position})
-		c.sealConsts()
+		c.seal()
 		if !opts.DisableFusion {
 			fuseChunk(c.chunk)
 		}
 	}
-	p.Main = &Chunk{Name: "main", NSlots: len(info.Main.Order), Scope: info.Main}
-	c := &compiler{info: info, prog: p, chunk: p.Main, scope: info.Main}
+	p.Main = newChunk("main", info.Main, 0)
+	c := &compiler{info: info, prog: p, chunk: p.Main, scope: info.Main, srs: usesSrs(info.Prog.Body)}
 	if err := c.stmts(info.Prog.Body); err != nil {
 		return nil, err
 	}
 	c.emit(Instr{Op: OpHalt, Pos: info.Prog.HaiPos})
-	c.sealConsts()
+	c.seal()
 	if !opts.DisableFusion {
 		fuseChunk(p.Main)
 	}
 	return p, nil
+}
+
+// newChunk makes an empty chunk for a frame. Its word file holds the
+// homes of the frame's word symbols, if it has any; constants and
+// temporaries are appended as the compiler needs them.
+func newChunk(name string, scope *sema.Scope, params int) *Chunk {
+	c := &Chunk{Name: name, NSlots: len(scope.Order), Params: params, Scope: scope}
+	for _, sym := range scope.Order {
+		if isWord(sym) {
+			c.growWords()
+			break
+		}
+	}
+	return c
+}
+
+// growWords gives the chunk its word file's homes on first use.
+func (c *Chunk) growWords() {
+	if c.Words == nil {
+		c.Words = make([]uint64, c.NSlots)
+		c.wkind = make([]value.Kind, c.NSlots)
+	}
 }
 
 // compiler emits bytecode for one chunk.
@@ -85,9 +104,18 @@ type compiler struct {
 	scope *sema.Scope
 
 	inFunc    bool
+	srs       bool       // the body names variables through SRS
 	predDepth int        // TXT MAH BFF nesting at the emission point
 	ctxs      []breakCtx // innermost-last loop/switch contexts
 	consts    map[value.Value]int
+	wconsts   map[wconst]int // interned word constants
+	free      []int          // released temporary words
+}
+
+// wconst is a typed constant's identity in the word file.
+type wconst struct {
+	k    value.Kind
+	bits uint64
 }
 
 // breakCtx is one enclosing loop or switch that GTFO can break out of. It
@@ -104,10 +132,32 @@ func (c *compiler) errf(n ast.Node, format string, args ...any) error {
 	return fmt.Errorf("vm: %s: %s", n.Pos(), fmt.Sprintf(format, args...))
 }
 
-// emit appends in and returns its index.
+// emit appends a stack instruction, which weighs 1, and returns its
+// index.
 func (c *compiler) emit(in Instr) int {
+	return c.emitW(in, 1)
+}
+
+// emitW appends in with step weight w and returns its index. A weight
+// past W's range spills into nops in front of it, so it never wraps.
+func (c *compiler) emitW(in Instr, w int) int {
+	for w > math.MaxUint32 {
+		c.chunk.Code = append(c.chunk.Code, Instr{Op: OpNop, W: math.MaxUint32, Pos: in.Pos})
+		w -= math.MaxUint32
+	}
+	in.W = uint32(w)
 	c.chunk.Code = append(c.chunk.Code, in)
 	return len(c.chunk.Code) - 1
+}
+
+// addW adds w to the weight of the last instruction emitted.
+func (c *compiler) addW(w int) {
+	last := &c.chunk.Code[len(c.chunk.Code)-1]
+	if sum := int(last.W) + w; sum <= math.MaxUint32 {
+		last.W = uint32(sum)
+		return
+	}
+	c.emitW(Instr{Op: OpNop, Pos: last.Pos}, w)
 }
 
 // emitJump appends a jump with an unresolved target (A = -1).
@@ -117,7 +167,11 @@ func (c *compiler) emitJump(op Op, n ast.Node) int {
 
 // patch resolves the jump at index at to the next instruction emitted.
 func (c *compiler) patch(at int) {
-	c.chunk.Code[at].A = len(c.chunk.Code)
+	if in := &c.chunk.Code[at]; in.Op.Word() {
+		in.D = len(c.chunk.Code)
+	} else {
+		in.A = len(c.chunk.Code)
+	}
 }
 
 // konst interns v in the chunk's constant pool.
@@ -133,14 +187,48 @@ func (c *compiler) konst(v value.Value) int {
 	return len(c.chunk.Consts) - 1
 }
 
-func (c *compiler) sealConsts() { c.consts = nil }
+// seal finishes the chunk's pools.
+func (c *compiler) seal() {
+	c.consts, c.wconsts, c.free = nil, nil, nil
+	c.chunk.NWords = len(c.chunk.Words)
+}
+
+// newWord appends a word to the frame's word file.
+func (c *compiler) newWord(k value.Kind, bits uint64) int {
+	ch := c.chunk
+	ch.growWords()
+	ch.Words = append(ch.Words, bits)
+	ch.wkind = append(ch.wkind, k)
+	return len(ch.Words) - 1
+}
+
+// wconst interns a typed constant in the word file.
+func (c *compiler) wconst(k value.Kind, bits uint64) int {
+	key := wconst{k, bits}
+	if i, ok := c.wconsts[key]; ok {
+		return i
+	}
+	if c.wconsts == nil {
+		c.wconsts = make(map[wconst]int)
+	}
+	i := c.newWord(k, bits)
+	c.wconsts[key] = i
+	return i
+}
+
+// temp is a free temporary word.
+func (c *compiler) temp() int {
+	if n := len(c.free); n > 0 {
+		t := c.free[n-1]
+		c.free = c.free[:n-1]
+		return t
+	}
+	return c.newWord(value.Noob, 0)
+}
 
 // resolve returns the slot-resolved symbol for a reference.
 func (c *compiler) resolve(v *ast.VarRef) (*sema.Symbol, error) {
 	if s, ok := v.Sym.(*sema.Symbol); ok {
-		return s, nil
-	}
-	if s, ok := c.scope.Names[v.Name]; ok {
 		return s, nil
 	}
 	return nil, c.errf(v, "unresolved variable %s", v.Name)
@@ -244,11 +332,13 @@ func (c *compiler) stmt(s ast.Stmt) error {
 	return c.errf(s, "unhandled statement %T", s)
 }
 
+// predicated compiles a TXT MAH BFF statement or block. The push fails
+// where the target does, as in interp and compile.
 func (c *compiler) predicated(n ast.Stmt, target ast.Expr, body func() error) error {
 	if err := c.expr(target); err != nil {
 		return err
 	}
-	c.emit(Instr{Op: OpPredPush, Pos: n.Pos()})
+	c.emit(Instr{Op: OpPredPush, Pos: target.Pos()})
 	c.predDepth++
 	err := body()
 	c.predDepth--
@@ -297,6 +387,9 @@ func (c *compiler) decl(n *ast.Decl) error {
 		return nil
 	}
 
+	if isWord(sym) {
+		return c.wordDecl(n, sym)
+	}
 	if n.Init != nil {
 		if err := c.expr(n.Init); err != nil {
 			return err
@@ -321,6 +414,55 @@ func (c *compiler) decl(n *ast.Decl) error {
 		c.emit(Instr{Op: OpStoreSlot, A: sym.Slot, Pos: n.Position})
 	}
 	return nil
+}
+
+// wordDecl declares a word symbol: its typed zero, or its Init converted
+// by the SRSLY cast. The weights are the stack compilation's: the Init,
+// the cast of a SRSLY declaration, and the store.
+//
+// SRS may read a word symbol before its declaration has run, where interp
+// reads NOOB. So in a body that uses SRS the declaration also marks the
+// symbol's value slot, at no step weight, and readSym reads an unmarked
+// word symbol as NOOB.
+func (c *compiler) wordDecl(n *ast.Decl, sym *sema.Symbol) error {
+	if c.srs {
+		c.emitW(Instr{Op: OpConst, A: c.konst(value.NewTroof(true)), Pos: n.Position}, 0)
+		c.emitW(Instr{Op: OpStoreSlot, A: sym.Slot, Pos: n.Position}, 0)
+	}
+	k := repKind(sym)
+	if n.Init == nil {
+		c.emitW(Instr{Op: OpWMove, A: sym.Slot, B: c.wconst(k, 0), Pos: n.Position}, 2)
+		return nil
+	}
+	w := 1
+	if sym.Static {
+		w++
+	}
+	if ik, ok := c.info.StaticKind(n.Init); ok && (ik == k || sym.Static) {
+		return c.wstore(n.Init, ik, sym, w, n.Position)
+	}
+	if err := c.expr(n.Init); err != nil {
+		return err
+	}
+	if sym.Static {
+		c.emitW(Instr{Op: OpWCast, A: sym.Slot, B: int(k), Pos: n.Position}, w)
+	} else {
+		c.emitW(Instr{Op: OpWUnbox, A: sym.Slot, B: int(k), S: n.Name, Pos: n.Position}, w)
+	}
+	return nil
+}
+
+// usesSrs reports whether a body holds an SRS reference.
+func usesSrs(body []ast.Stmt) bool {
+	found := false
+	for _, s := range body {
+		ast.Walk(s, func(n ast.Node) bool {
+			_, isSrs := n.(*ast.Srs)
+			found = found || isSrs
+			return !found
+		})
+	}
+	return found
 }
 
 func (c *compiler) ifStmt(n *ast.If) error {
@@ -375,7 +517,7 @@ func (c *compiler) switchStmt(n *ast.Switch) error {
 
 	// Bodies in order; control falls through case to case until GTFO.
 	for i := range n.Cases {
-		c.chunk.Code[bodyJumps[i]].A = len(c.chunk.Code)
+		c.patch(bodyJumps[i])
 		if err := c.stmts(n.Cases[i].Body); err != nil {
 			return err
 		}
@@ -398,6 +540,9 @@ func (c *compiler) switchStmt(n *ast.Switch) error {
 	return nil
 }
 
+// loop compiles a loop. A counter in the word file restarts, counts and
+// is saved and restored with word ops, and a comparison of two typed
+// operands at the head is one compare-and-branch.
 func (c *compiler) loop(n *ast.Loop) error {
 	var sym *sema.Symbol
 	if n.Var != "" {
@@ -406,14 +551,24 @@ func (c *compiler) loop(n *ast.Loop) error {
 			return c.errf(n, "unresolved loop variable %s", n.Var)
 		}
 	}
+	word := sym != nil && isWord(sym)
 	// Implicitly declared counters are restored on exit (the interpreter's
 	// saved/restore dance); declared variables keep their final value.
+	// An inner loop may count the outer loop's implicit counter.
 	restore := sym != nil && sym.Kind == sema.SymLoopVar
-	if restore {
+	save := -1
+	switch {
+	case restore && word:
+		save = c.temp()
+		c.emitW(Instr{Op: OpWMove, A: save, B: sym.Slot, Pos: n.Position}, 1)
+	case restore:
 		c.emit(Instr{Op: OpLoadSlot, A: sym.Slot, Pos: n.Position}) // save
 	}
-	if sym != nil {
+	switch {
+	case word:
 		// The counter always restarts at 0 (lci semantics).
+		c.emitW(Instr{Op: OpWMove, A: sym.Slot, B: c.wconst(value.Numbr, 0), Pos: n.Position}, 2)
+	case sym != nil:
 		c.emit(Instr{Op: OpConst, A: c.konst(value.NewNumbr(0)), Pos: n.Position})
 		c.emit(Instr{Op: OpStoreSlot, A: sym.Slot, Pos: n.Position})
 	}
@@ -421,13 +576,27 @@ func (c *compiler) loop(n *ast.Loop) error {
 	start := len(c.chunk.Code)
 	exit := -1
 	if n.Cond != nil {
-		if err := c.expr(n.Cond); err != nil {
-			return err
-		}
-		if n.CondKind == ast.CondTil {
-			exit = c.emitJump(OpJumpTrue, n) // TIL: stop once true
+		onTrue := n.CondKind == ast.CondTil // TIL: stop once true; WILE: once false
+		if b, ok := c.typedCmp(n.Cond); ok {
+			x, y, err := c.wpair(b)
+			if err != nil {
+				return err
+			}
+			sense := 0
+			if onTrue {
+				sense = 1
+			}
+			exit = c.emitW(Instr{Op: wordJumpOp(b.Op, x.k), A: sense, B: x.w, C: y.w, D: -1, Pos: b.Position}, 2+x.wt+y.wt)
+			c.release(x, y)
 		} else {
-			exit = c.emitJump(OpJumpFalse, n) // WILE: stop once false
+			if err := c.expr(n.Cond); err != nil {
+				return err
+			}
+			if onTrue {
+				exit = c.emitJump(OpJumpTrue, n)
+			} else {
+				exit = c.emitJump(OpJumpFalse, n)
+			}
 		}
 	}
 
@@ -438,14 +607,19 @@ func (c *compiler) loop(n *ast.Loop) error {
 	ctx := c.ctxs[len(c.ctxs)-1]
 	c.ctxs = c.ctxs[:len(c.ctxs)-1]
 
-	if sym != nil {
-		step := 1
-		if n.Op == ast.LoopNerfin {
-			step = -1
-		}
-		c.emit(Instr{Op: OpIncSlot, A: sym.Slot, B: step, S: n.Var, Pos: n.Position})
+	step := 1
+	if n.Op == ast.LoopNerfin {
+		step = -1
 	}
-	c.emit(Instr{Op: OpJump, A: start, Pos: n.Position})
+	switch {
+	case word:
+		c.emitW(Instr{Op: OpWIncJump, A: sym.Slot, B: step, D: start, S: n.Var, Pos: n.Position}, 2)
+	case sym != nil:
+		c.emit(Instr{Op: OpIncSlot, A: sym.Slot, B: step, S: n.Var, Pos: n.Position})
+		c.emit(Instr{Op: OpJump, A: start, Pos: n.Position})
+	default:
+		c.emit(Instr{Op: OpJump, A: start, Pos: n.Position})
+	}
 
 	if exit >= 0 {
 		c.patch(exit)
@@ -453,7 +627,11 @@ func (c *compiler) loop(n *ast.Loop) error {
 	for _, j := range ctx.breakJumps {
 		c.patch(j)
 	}
-	if restore {
+	switch {
+	case restore && word:
+		c.emitW(Instr{Op: OpWMove, A: sym.Slot, B: save, Pos: n.Position}, 1)
+		c.free = append(c.free, save)
+	case restore:
 		c.emit(Instr{Op: OpStoreSlot, A: sym.Slot, Pos: n.Position})
 	}
 	return nil
@@ -519,6 +697,10 @@ func (c *compiler) loadVar(n *ast.VarRef) error {
 	if err != nil {
 		return err
 	}
+	if isWord(sym) {
+		c.box(opnd{w: sym.Slot, k: repKind(sym), wt: 1}, n.Position)
+		return nil
+	}
 	if sym.Kind != sema.SymShared {
 		c.emit(Instr{Op: OpLoadSlot, A: sym.Slot, Pos: n.Position})
 		return nil
@@ -531,21 +713,17 @@ func (c *compiler) loadVar(n *ast.VarRef) error {
 	return nil
 }
 
-// assign compiles `target R value`. A store into a SRSLY private casts,
-// unless the value's static kind is already the declared type: then the
-// cast is the identity and a plain slot store does.
+// assign compiles `target R value`. A typed value stored into a word
+// symbol goes straight into its word, converted for a SRSLY target of
+// the other numeric kind.
 func (c *compiler) assign(n *ast.Assign) error {
 	if v, ok := n.Target.(*ast.VarRef); ok {
 		sym, err := c.resolve(v)
 		if err != nil {
 			return err
 		}
-		if k, ok := c.info.StaticKind(n.Value); ok && sym.Kind != sema.SymShared && sym.Static && !sym.IsArray && k == sym.Type {
-			if err := c.typed(n.Value, k); err != nil {
-				return err
-			}
-			c.emit(Instr{Op: OpStoreSlot, A: sym.Slot, Pos: v.Position})
-			return nil
+		if k, ok := c.info.StaticKind(n.Value); ok && isWord(sym) && (k == repKind(sym) || sym.Static) {
+			return c.wstore(n.Value, k, sym, 1, v.Position)
 		}
 	}
 	if err := c.expr(n.Value); err != nil {
@@ -571,6 +749,10 @@ func (c *compiler) storeVar(n *ast.VarRef) error {
 		return nil
 	}
 	switch {
+	case isWord(sym) && sym.Static:
+		c.emit(Instr{Op: OpWStoreCast, A: sym.Slot, B: int(sym.Type), S: n.Name, Pos: n.Position})
+	case isWord(sym):
+		c.emit(Instr{Op: OpWUnbox, A: sym.Slot, B: int(repKind(sym)), S: n.Name, Pos: n.Position})
 	case sym.Static && !sym.IsArray:
 		c.emit(Instr{Op: OpStoreSlotCast, A: sym.Slot, B: int(sym.Type), S: n.Name, Pos: n.Position})
 	case sym.IsArray:
@@ -615,7 +797,17 @@ func (c *compiler) storeIndex(n *ast.Index) error {
 
 // --------------------------------------------------------------- expressions
 
+// expr pushes e's value for a dynamic consumer. A typed operation is
+// computed in the word file and its result boxed by one op.
 func (c *compiler) expr(e ast.Expr) error {
+	if k, ok := c.info.StaticKind(e); ok && c.lowered(e) {
+		o, err := c.wval(e, k, -1)
+		if err != nil {
+			return err
+		}
+		c.box(o, e.Pos())
+		return nil
+	}
 	switch n := e.(type) {
 	case *ast.NumbrLit:
 		c.emit(Instr{Op: OpConst, A: c.konst(value.NewNumbr(n.Value)), Pos: n.Position})
@@ -634,16 +826,10 @@ func (c *compiler) expr(e ast.Expr) error {
 	case *ast.BinExpr:
 		return c.binExpr(n)
 	case *ast.UnExpr:
-		var cl Class
-		if k, ok := c.info.StaticKind(n.X); ok && n.Op != value.OpNot {
-			cl = kindClass(k)
-			if err := c.typed(n.X, k); err != nil {
-				return err
-			}
-		} else if err := c.expr(n.X); err != nil {
+		if err := c.expr(n.X); err != nil {
 			return err
 		}
-		c.emit(Instr{Op: OpUnary, Class: cl, A: int(n.Op), Pos: n.Position})
+		c.emit(Instr{Op: OpUnary, A: int(n.Op), Pos: n.Position})
 	case *ast.NaryExpr:
 		return c.naryExpr(n)
 	case *ast.CastExpr:
@@ -681,6 +867,21 @@ func (c *compiler) expr(e ast.Expr) error {
 	return nil
 }
 
+// lowered reports whether expr computes a typed e in the word file. A
+// literal, a variable or a builtin is pushed by one stack op as cheaply
+// (a shared SRSLY scalar unconverted, as interp reads it), and a MAEK of
+// a dynamic operand casts on the stack.
+func (c *compiler) lowered(e ast.Expr) bool {
+	switch n := e.(type) {
+	case *ast.BinExpr, *ast.UnExpr, *ast.Index:
+		return true
+	case *ast.CastExpr:
+		_, ok := c.info.StaticKind(n.X)
+		return ok
+	}
+	return false
+}
+
 func (c *compiler) binExpr(n *ast.BinExpr) error {
 	// BOTH OF / EITHER OF short-circuit: evaluate X, coerce to TROOF, and
 	// keep it as the result if it decides the answer.
@@ -703,52 +904,35 @@ func (c *compiler) binExpr(n *ast.BinExpr) error {
 		c.patch(end)
 		return nil
 	}
-	xk, xok := c.info.StaticKind(n.X)
-	yk, yok := c.info.StaticKind(n.Y)
-	if !xok || !yok || !classedOp(n.Op) {
-		if err := c.expr(n.X); err != nil {
-			return err
-		}
-		if err := c.expr(n.Y); err != nil {
-			return err
-		}
-		c.emit(Instr{Op: OpBinary, A: int(n.Op), Pos: n.Position})
-		return nil
-	}
-	if err := c.typed(n.X, xk); err != nil {
-		return err
-	}
-	if err := c.typed(n.Y, yk); err != nil {
-		return err
-	}
-	c.emit(Instr{Op: OpBinary, Class: pairClass(xk, yk), A: int(n.Op), Pos: n.Position})
-	return nil
-}
-
-// classedOp reports whether a binary op takes a typed body when sema
-// knows both operand kinds: the seven arithmetic operators and the four
-// comparisons.
-func classedOp(op value.BinOp) bool {
-	return op.Arith() || op == value.OpBothSaem || op == value.OpDiffrint
-}
-
-// typed emits e, whose static kind is k, for a consumer that reads it
-// raw. StaticKind counts a shared SRSLY scalar at its declared type, but
-// its heap cell holds NOOB until the owner's WE HAS A has run, so its
-// load converts to k and fails at the read if it cannot (as compile's
-// typed reads do).
-func (c *compiler) typed(e ast.Expr, k value.Kind) error {
-	if v, ok := e.(*ast.VarRef); ok {
-		sym, err := c.resolve(v)
+	if b, ok := c.typedCmp(n); ok {
+		x, y, err := c.wpair(b)
 		if err != nil {
 			return err
 		}
-		if sym.Kind == sema.SymShared && !sym.IsArray {
-			c.emit(Instr{Op: OpLoadHeap, Class: kindClass(k), A: sym.Heap, B: remoteFlag(v.Space), Pos: v.Position})
-			return nil
-		}
+		c.emitW(Instr{Op: wordBinOp(b.Op, x.k), B: x.w, C: y.w, Pos: b.Position}, 1+x.wt+y.wt)
+		c.release(x, y)
+		return nil
 	}
-	return c.expr(e)
+	if err := c.expr(n.X); err != nil {
+		return err
+	}
+	if err := c.expr(n.Y); err != nil {
+		return err
+	}
+	c.emit(Instr{Op: OpBinary, A: int(n.Op), Pos: n.Position})
+	return nil
+}
+
+// typedCmp reports whether e is a BIGGER, SMALLR, BOTH SAEM or DIFFRINT
+// whose operand kinds sema knows.
+func (c *compiler) typedCmp(e ast.Expr) (*ast.BinExpr, bool) {
+	b, ok := e.(*ast.BinExpr)
+	if !ok || b.Op < value.OpBigger || b.Op > value.OpDiffrint {
+		return nil, false
+	}
+	_, xok := c.info.StaticKind(b.X)
+	_, yok := c.info.StaticKind(b.Y)
+	return b, xok && yok
 }
 
 func (c *compiler) naryExpr(n *ast.NaryExpr) error {
@@ -789,8 +973,8 @@ func (c *compiler) naryExpr(n *ast.NaryExpr) error {
 	}
 }
 
-// yarn assembles a YARN literal; :{var} segments compile to slot-resolved
-// loads, text segments to constants, joined by OpConcat.
+// yarn assembles a YARN literal; :{var} segments compile to loads of the
+// references sema bound, text segments to constants, joined by OpConcat.
 func (c *compiler) yarn(n *ast.YarnLit) error {
 	if len(n.Segs) == 0 {
 		c.emit(Instr{Op: OpConst, A: c.konst(value.NewYarn("")), Pos: n.Position})
@@ -800,15 +984,244 @@ func (c *compiler) yarn(n *ast.YarnLit) error {
 		c.emit(Instr{Op: OpConst, A: c.konst(value.NewYarn(n.Segs[0].Text)), Pos: n.Position})
 		return nil
 	}
+	refs := n.Refs
 	for _, seg := range n.Segs {
 		if seg.Var == "" {
 			c.emit(Instr{Op: OpConst, A: c.konst(value.NewYarn(seg.Text)), Pos: n.Position})
 			continue
 		}
-		if err := c.loadVar(&ast.VarRef{Position: n.Position, Name: seg.Var}); err != nil {
+		if err := c.loadVar(refs[0]); err != nil {
 			return err
 		}
+		refs = refs[1:]
 	}
 	c.emit(Instr{Op: OpConcat, A: len(n.Segs), Pos: n.Position})
 	return nil
+}
+
+// ------------------------------------------------------------- word code
+
+// opnd is a typed value in the word file.
+type opnd struct {
+	w int        // the word holding it
+	k value.Kind // value.Numbr or value.Numbar
+	// wt is the step weight of the loads and identity casts it stands
+	// for, which the op that reads it carries.
+	wt int
+	// temp marks a temporary, released once read; fresh, a result the
+	// last op emitted wrote into the word wval was asked for.
+	temp, fresh bool
+}
+
+// release frees the temporaries among os.
+func (c *compiler) release(os ...opnd) {
+	for _, o := range os {
+		if o.temp {
+			c.free = append(c.free, o.w)
+		}
+	}
+}
+
+// box pushes o for a dynamic consumer.
+func (c *compiler) box(o opnd, pos token.Pos) {
+	op := OpWBoxI
+	if o.k == value.Numbar {
+		op = OpWBoxF
+	}
+	c.emitW(Instr{Op: op, A: o.w, Pos: pos}, o.wt)
+	c.release(o)
+}
+
+// wop emits the word op in, weighing w, which reads the operands reads
+// and yields a value of kind k: into word into when into >= 0, else into
+// a temporary.
+func (c *compiler) wop(in Instr, w int, k value.Kind, into int, reads ...opnd) opnd {
+	c.release(reads...)
+	o := opnd{w: into, k: k, fresh: true}
+	if into < 0 {
+		o = opnd{w: c.temp(), k: k, temp: true}
+	}
+	in.A = o.w
+	c.emitW(in, w)
+	return o
+}
+
+// wstore compiles e, of static kind k, into word symbol sym. w is the
+// weight of the store (and of a SRSLY declaration's cast). A SRSLY
+// symbol of the other numeric kind takes e converted, as its cast does.
+func (c *compiler) wstore(e ast.Expr, k value.Kind, sym *sema.Symbol, w int, pos token.Pos) error {
+	sk := repKind(sym)
+	into := -1
+	if k == sk {
+		into = sym.Slot
+	}
+	o, err := c.wval(e, k, into)
+	if err != nil {
+		return err
+	}
+	if f, ok := c.fold(o, sk); ok {
+		o = f
+	}
+	switch {
+	case o.k != sk:
+		op := OpWWiden
+		if sk == value.Numbr {
+			op = OpWTrunc
+		}
+		c.wop(Instr{Op: op, B: o.w, Pos: pos}, w+o.wt, sk, sym.Slot, o)
+	case o.fresh:
+		c.addW(w + o.wt)
+	default:
+		c.wop(Instr{Op: OpWMove, B: o.w, Pos: pos}, w+o.wt, sk, sym.Slot, o)
+	}
+	return nil
+}
+
+// fold converts a constant operand to kind k at compile time, as
+// OpWWiden or OpWTrunc would at run time.
+func (c *compiler) fold(o opnd, k value.Kind) (opnd, bool) {
+	if o.temp || c.chunk.wkind[o.w] != o.k {
+		return o, false
+	}
+	u := c.chunk.Words[o.w]
+	switch {
+	case o.k == k:
+		return o, true
+	case k == value.Numbar:
+		u = fw(float64(int64(u)))
+	default:
+		u = uint64(int64(wf(u)))
+	}
+	return opnd{w: c.wconst(k, u), k: k, wt: o.wt}, true
+}
+
+// widen makes a NUMBR operand a NUMBAR, as value.Binary widens a mixed
+// pair: a constant folds, anything else takes one op.
+func (c *compiler) widen(o opnd, pos token.Pos) opnd {
+	if f, ok := c.fold(o, value.Numbar); ok || o.k == value.Numbar {
+		return f
+	}
+	return c.wop(Instr{Op: OpWWiden, B: o.w, Pos: pos}, o.wt, value.Numbar, -1, o)
+}
+
+// wpair compiles a typed binary op's operands, X first, and widens a
+// NUMBR of a mixed pair.
+func (c *compiler) wpair(n *ast.BinExpr) (x, y opnd, err error) {
+	xk, _ := c.info.StaticKind(n.X)
+	yk, _ := c.info.StaticKind(n.Y)
+	if x, err = c.wval(n.X, xk, -1); err != nil {
+		return
+	}
+	if y, err = c.wval(n.Y, yk, -1); err != nil {
+		return
+	}
+	if x.k != y.k {
+		x, y = c.widen(x, n.Position), c.widen(y, n.Position)
+	}
+	return x, y, nil
+}
+
+// wval compiles e, whose static kind is k, into the word file and
+// returns the operand holding it. into >= 0 asks for the result in that
+// word (a store into a word symbol); a variable or constant stays where
+// it lives, with its load's weight pending. Each op covers one AST
+// operation and carries the stack compilation's weight for it: 1, plus
+// the pending weight of the operands it reads.
+func (c *compiler) wval(e ast.Expr, k value.Kind, into int) (opnd, error) {
+	switch n := e.(type) {
+	case *ast.NumbrLit:
+		return opnd{w: c.wconst(value.Numbr, uint64(n.Value)), k: value.Numbr, wt: 1}, nil
+	case *ast.NumbarLit:
+		return opnd{w: c.wconst(value.Numbar, fw(n.Value)), k: value.Numbar, wt: 1}, nil
+	case *ast.VarRef:
+		sym, err := c.resolve(n)
+		if err != nil {
+			return opnd{}, err
+		}
+		if isWord(sym) {
+			return opnd{w: sym.Slot, k: k, wt: 1}, nil
+		}
+		if sym.Kind == sema.SymShared && !sym.IsArray {
+			op := OpWLoadHeapI
+			if k == value.Numbar {
+				op = OpWLoadHeapF
+			}
+			return c.wop(Instr{Op: op, B: sym.Heap, C: remoteFlag(n.Space), Pos: n.Position}, 1, k, into), nil
+		}
+	case *ast.Index:
+		return c.welem(n, k, into)
+	case *ast.BinExpr:
+		x, y, err := c.wpair(n)
+		if err != nil {
+			return opnd{}, err
+		}
+		return c.wop(Instr{Op: wordBinOp(n.Op, x.k), B: x.w, C: y.w, Pos: n.Position}, 1+x.wt+y.wt, k, into, x, y), nil
+	case *ast.UnExpr:
+		xk, _ := c.info.StaticKind(n.X)
+		x, err := c.wval(n.X, xk, -1)
+		if err != nil {
+			return opnd{}, err
+		}
+		return c.wop(Instr{Op: wordUnOp(n.Op, xk), B: x.w, Pos: n.Position}, 1+x.wt, k, into, x), nil
+	case *ast.CastExpr:
+		xk, ok := c.info.StaticKind(n.X)
+		switch {
+		case !ok:
+			if err := c.expr(n.X); err != nil {
+				return opnd{}, err
+			}
+			return c.wop(Instr{Op: OpWCast, B: int(k), Pos: n.Position}, 1, k, into), nil
+		case xk == k:
+			x, err := c.wval(n.X, xk, into)
+			x.wt++
+			return x, err
+		}
+		x, err := c.wval(n.X, xk, -1)
+		if err != nil {
+			return opnd{}, err
+		}
+		op := OpWWiden
+		if k == value.Numbr {
+			op = OpWTrunc
+		}
+		return c.wop(Instr{Op: op, B: x.w, Pos: n.Position}, 1+x.wt, k, into, x), nil
+	case *ast.Me:
+		return c.wop(Instr{Op: OpWMe, Pos: n.Position}, 1, k, into), nil
+	case *ast.MahFrenz:
+		return c.wop(Instr{Op: OpWMahFrenz, Pos: n.Position}, 1, k, into), nil
+	case *ast.Whatevr:
+		return c.wop(Instr{Op: OpWWhatevr, Pos: n.Position}, 1, k, into), nil
+	case *ast.Whatevar:
+		return c.wop(Instr{Op: OpWWhatevar, Pos: n.Position}, 1, k, into), nil
+	}
+	return opnd{}, c.errf(e, "no word lowering for %T", e)
+}
+
+// welem reads an element of a TypedElems array. A NUMBR subscript is
+// read from its word; any other is pushed and converted as the stack
+// element loads convert it.
+func (c *compiler) welem(n *ast.Index, k value.Kind, into int) (opnd, error) {
+	sym, err := c.resolve(n.Arr)
+	if err != nil {
+		return opnd{}, err
+	}
+	var idx opnd
+	if ik, ok := c.info.StaticKind(n.IndexE); ok && ik == value.Numbr {
+		if idx, err = c.wval(n.IndexE, ik, -1); err != nil {
+			return opnd{}, err
+		}
+	} else {
+		if err := c.expr(n.IndexE); err != nil {
+			return opnd{}, err
+		}
+		idx = c.wop(Instr{Op: OpWIndex, Pos: n.Position}, 0, value.Numbr, -1)
+	}
+	in := Instr{Op: OpWElemSlotI, B: idx.w, C: sym.Slot, S: n.Arr.Name, Pos: n.Position}
+	if sym.Kind == sema.SymShared {
+		in = Instr{Op: OpWElemHeapI, B: idx.w, C: sym.Heap, D: remoteFlag(n.Arr.Space), Pos: n.Position}
+	}
+	if k == value.Numbar {
+		in.Op++
+	}
+	return c.wop(in, 1+idx.wt, k, into, idx), nil
 }

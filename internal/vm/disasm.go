@@ -9,9 +9,11 @@ import (
 
 // Disassemble renders a compiled program as a readable listing, one chunk
 // per section, for `lolrun -dump-bytecode` and the golden tests that pin
-// the fusion pass's output. Fused superinstructions print their step
-// weight so metering is auditable from the listing alone, and typed
-// operations their class: "SUM OF:f", "BOTH SAEM:i", "load.heap h0:i".
+// the compiler's and the fusion pass's output. Word ops print as
+// three-address code with the operator's kind, e.g.
+// "w7 = w1 SUM OF:f w6"; a word constant prints with its kind and value,
+// e.g. "w9<NUMBR 1>". Every instruction whose weight is above 1 prints
+// it, so metering is auditable from the listing alone.
 func Disassemble(p *Program) string {
 	var b strings.Builder
 	disasmChunk(&b, p.Main)
@@ -23,13 +25,13 @@ func Disassemble(p *Program) string {
 }
 
 func disasmChunk(b *strings.Builder, c *Chunk) {
-	fmt.Fprintf(b, "== %s (code=%d consts=%d slots=%d params=%d)\n",
-		c.Name, len(c.Code), len(c.Consts), c.NSlots, c.Params)
+	fmt.Fprintf(b, "== %s (code=%d consts=%d slots=%d words=%d params=%d)\n",
+		c.Name, len(c.Code), len(c.Consts), c.NSlots, c.NWords, c.Params)
 	for i := range c.Code {
 		in := &c.Code[i]
 		line := fmt.Sprintf("%4d  %-28s %s", i, in.Op.String(), disasmOperands(c, in))
-		if w := in.Op.Weight(); w > 1 {
-			line += fmt.Sprintf(" ; w=%d", w)
+		if in.W > 1 {
+			line += fmt.Sprintf(" ; w=%d", in.W)
 		}
 		b.WriteString(strings.TrimRight(line, " "))
 		b.WriteByte('\n')
@@ -43,15 +45,24 @@ func konstStr(c *Chunk, i int) string {
 	return fmt.Sprintf("c%d<%s %s>", i, v.Kind(), v.Display())
 }
 
-// binOpStr renders a binary op with its class mark, e.g. "SUM OF:f".
-func binOpStr(b int, cl Class) string { return value.BinOp(b&fuseOpMask).String() + classMark(cl) }
-
-// classMark is ":" and the class of a typed op, or "" for a dynamic one.
-func classMark(cl Class) string {
-	if cl == 0 {
-		return ""
+// wordStr renders word i, with a constant's kind and value (a NUMBAR
+// in full, where VISIBLE would round it to two places).
+func wordStr(c *Chunk, i int) string {
+	switch c.wkind[i] {
+	case value.Numbr:
+		return fmt.Sprintf("w%d<NUMBR %d>", i, int64(c.Words[i]))
+	case value.Numbar:
+		return fmt.Sprintf("w%d<NUMBAR %g>", i, wf(c.Words[i]))
 	}
-	return ":" + cl.String()
+	return fmt.Sprintf("w%d", i)
+}
+
+// kindMark is the ":i" or ":f" an operator of kind k prints with.
+func kindMark(k value.Kind) string {
+	if k == value.Numbar {
+		return ":f"
+	}
+	return ":i"
 }
 
 // senseStr renders a fused branch's sense: the pop-jump it replaced.
@@ -69,7 +80,61 @@ func disasmOperands(c *Chunk, in *Instr) string {
 		}
 		return " (" + in.S + ")"
 	}
+	binOp := func(b int) string { return value.BinOp(b & fuseOpMask).String() }
+	w := func(i int) string { return wordStr(c, i) }
+	switch op := in.Op; {
+	case op >= OpWSumI && op <= OpWDiffrintF:
+		bop, k := wordOpKind(op)
+		if bop >= value.OpBigger {
+			return fmt.Sprintf("push %s %s%s %s", w(in.B), bop, kindMark(k), w(in.C))
+		}
+		return fmt.Sprintf("w%d = %s %s%s %s", in.A, w(in.B), bop, kindMark(k), w(in.C))
+	case op >= OpWJumpBiggerI && op <= OpWJumpDiffrintF:
+		bop, k := wordOpKind(op)
+		sense := "if-false"
+		if in.A != 0 {
+			sense = "if-true"
+		}
+		return fmt.Sprintf("%s %s%s %s %s -> %d", w(in.B), bop, kindMark(k), w(in.C), sense, in.D)
+	case op >= OpWSquarI && op <= OpWFlipF:
+		k := value.Numbr
+		if (op-OpWSquarI)%2 == 1 {
+			k = value.Numbar
+		}
+		return fmt.Sprintf("w%d = %s%s %s", in.A, value.UnOp(1+(op-OpWSquarI)/2), kindMark(k), w(in.B))
+	}
 	switch in.Op {
+	case OpWMove:
+		return fmt.Sprintf("w%d = %s", in.A, w(in.B))
+	case OpWWiden:
+		return fmt.Sprintf("w%d = NUMBAR %s", in.A, w(in.B))
+	case OpWTrunc:
+		return fmt.Sprintf("w%d = NUMBR %s", in.A, w(in.B))
+	case OpWIncJump:
+		return fmt.Sprintf("w%d %+d -> %d%s", in.A, in.B, in.D, name())
+	case OpWBoxI, OpWBoxF:
+		return w(in.A)
+	case OpWElemSlotI, OpWElemSlotF:
+		return fmt.Sprintf("w%d = s%d[%s]%s", in.A, in.C, w(in.B), name())
+	case OpWElemHeapI, OpWElemHeapF:
+		s := fmt.Sprintf("w%d = h%d[%s]", in.A, in.C, w(in.B))
+		if in.D&flagRemote != 0 {
+			s += " ur"
+		}
+		return s
+	case OpWLoadHeapI, OpWLoadHeapF:
+		s := fmt.Sprintf("w%d = h%d", in.A, in.B)
+		if in.C&flagRemote != 0 {
+			s += " ur"
+		}
+		return s
+	case OpWMe, OpWMahFrenz, OpWWhatevr, OpWWhatevar:
+		return fmt.Sprintf("w%d", in.A)
+	case OpWIndex:
+		return fmt.Sprintf("w%d = pop", in.A)
+	case OpWCast, OpWStoreCast, OpWUnbox:
+		return fmt.Sprintf("w%d = pop as %s%s", in.A, value.Kind(in.B), name())
+
 	case OpConst:
 		return konstStr(c, in.A)
 	case OpLoadSlot, OpStoreSlot, OpStoreSlotArr, OpIncSlot:
@@ -85,17 +150,14 @@ func disasmOperands(c *Chunk, in *Instr) string {
 	case OpLoadHeap, OpLoadHeapArr, OpStoreHeap, OpStoreHeapArr,
 		OpLoadElem, OpStoreElem, OpDeclArrHeap, OpInitHeap:
 		s := fmt.Sprintf("h%d", in.A)
-		if in.Op == OpLoadHeap {
-			s += classMark(in.Class)
-		}
 		if in.B&flagRemote != 0 {
 			s += " ur"
 		}
 		return s + name()
 	case OpBinary:
-		return binOpStr(in.A, in.Class)
+		return binOp(in.A)
 	case OpUnary:
-		return value.UnOp(in.A).String() + classMark(in.Class)
+		return value.UnOp(in.A).String()
 	case OpCast:
 		return value.Kind(in.A).String() + name()
 	case OpConcat, OpSmoosh, OpVisible, OpPredPop:
@@ -110,33 +172,33 @@ func disasmOperands(c *Chunk, in *Instr) string {
 		return fmt.Sprintf("f%d args=%d%s", in.A, in.B, name())
 
 	case OpFusedConstBinary:
-		return fmt.Sprintf("tos %s %s", binOpStr(in.B, in.Class), konstStr(c, in.A))
+		return fmt.Sprintf("tos %s %s", binOp(in.B), konstStr(c, in.A))
 	case OpFusedSlotBinary:
-		return fmt.Sprintf("tos %s s%d", binOpStr(in.B, in.Class), in.A)
+		return fmt.Sprintf("tos %s s%d", binOp(in.B), in.A)
 	case OpFusedSlotConstBinary:
-		return fmt.Sprintf("s%d %s %s", in.A, binOpStr(in.B, in.Class), konstStr(c, in.C))
+		return fmt.Sprintf("s%d %s %s", in.A, binOp(in.B), konstStr(c, in.C))
 	case OpFusedSlotSlotBinary:
-		return fmt.Sprintf("s%d %s s%d", in.A, binOpStr(in.B, in.Class), in.C)
+		return fmt.Sprintf("s%d %s s%d", in.A, binOp(in.B), in.C)
 	case OpFusedBinaryStoreSlot:
-		return fmt.Sprintf("s%d = %s", in.A, binOpStr(in.B, in.Class))
+		return fmt.Sprintf("s%d = %s", in.A, binOp(in.B))
 	case OpFusedBinaryStoreSlotCast:
-		return fmt.Sprintf("s%d = %s as %s%s", in.A, binOpStr(in.B, in.Class), value.Kind(in.C), name())
+		return fmt.Sprintf("s%d = %s as %s%s", in.A, binOp(in.B), value.Kind(in.C), name())
 	case OpFusedSlotJump:
 		return fmt.Sprintf("s%d %s -> %d", in.A, senseStr(in.B), in.D)
 	case OpFusedSlotConstCmpJump:
-		return fmt.Sprintf("s%d %s %s %s -> %d", in.A, binOpStr(in.B, in.Class), konstStr(c, in.C), senseStr(in.B), in.D)
+		return fmt.Sprintf("s%d %s %s %s -> %d", in.A, binOp(in.B), konstStr(c, in.C), senseStr(in.B), in.D)
 	case OpFusedSlotSlotCmpJump:
-		return fmt.Sprintf("s%d %s s%d %s -> %d", in.A, binOpStr(in.B, in.Class), in.C, senseStr(in.B), in.D)
+		return fmt.Sprintf("s%d %s s%d %s -> %d", in.A, binOp(in.B), in.C, senseStr(in.B), in.D)
 	case OpFusedIncSlotJump:
 		return fmt.Sprintf("s%d %+d -> %d%s", in.A, in.B, in.D, name())
 	case OpFusedSlotConstBinaryStore:
-		return fmt.Sprintf("s%d = s%d %s %s", in.D, in.A, binOpStr(in.B, in.Class), konstStr(c, in.C))
+		return fmt.Sprintf("s%d = s%d %s %s", in.D, in.A, binOp(in.B), konstStr(c, in.C))
 	case OpFusedSlotConstBinaryStoreCast:
-		return fmt.Sprintf("s%d = s%d %s %s as %s%s", in.D, in.A, binOpStr(in.B, in.Class), konstStr(c, in.C), value.Kind(in.B>>fuseKindShift), name())
+		return fmt.Sprintf("s%d = s%d %s %s as %s%s", in.D, in.A, binOp(in.B), konstStr(c, in.C), value.Kind(in.B>>fuseKindShift), name())
 	case OpFusedSlotSlotBinaryStore:
-		return fmt.Sprintf("s%d = s%d %s s%d", in.D, in.A, binOpStr(in.B, in.Class), in.C)
+		return fmt.Sprintf("s%d = s%d %s s%d", in.D, in.A, binOp(in.B), in.C)
 	case OpFusedSlotSlotBinaryStoreCast:
-		return fmt.Sprintf("s%d = s%d %s s%d as %s%s", in.D, in.A, binOpStr(in.B, in.Class), in.C, value.Kind(in.B>>fuseKindShift), name())
+		return fmt.Sprintf("s%d = s%d %s s%d as %s%s", in.D, in.A, binOp(in.B), in.C, value.Kind(in.B>>fuseKindShift), name())
 	}
 	return ""
 }

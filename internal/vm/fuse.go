@@ -1,7 +1,8 @@
 package vm
 
-// The superinstruction pass. The bytecode compiler emits expressions in a
-// handful of fixed shapes — slot load + constant + binary op, loop heads
+// The superinstruction pass, for dynamic code (typed code is already
+// word ops, which no pattern matches). The bytecode compiler emits
+// dynamic expressions in a handful of fixed shapes — slot load + constant + binary op, loop heads
 // of the form load/load/compare/branch, binary op straight into a slot
 // store — and the dispatch loop pays per-instruction overhead (meter
 // check, switch, stack traffic) for each piece. fuseChunk runs after a
@@ -20,9 +21,8 @@ package vm
 //     OpPredPush/OpPredPop, so fusion cannot cross a TXT MAH BFF
 //     predication boundary, and never the Keep-variant short-circuit
 //     jumps, whose stack discipline differs mid-expression.
-//   - Each fused opcode carries a static step weight equal to the number
-//     of instructions it replaced (see opWeights), so backend.Meter
-//     accounting is preserved: a step budget of N still permits exactly N
+//   - Each fused instruction weighs the sum of the weights of the
+//     instructions it replaced, so backend.Meter accounting is preserved: a step budget of N still permits exactly N
 //     pre-fusion instructions. The one observable difference is kill
 //     *placement*: a budget kill that lands inside a fused block executes
 //     none of it, where the unfused program may have executed a partial
@@ -32,8 +32,7 @@ package vm
 //     error coinciding with the last weight-1 steps of the budget could
 //     classify differently (budget vs. runtime error), which the
 //     conformance harness treats as out of scope for budget-killed runs.
-//   - A fused op that absorbs an OpBinary copies its operand class and
-//     its position. The binary is the only part of any shape that can
+//   - A fused op that absorbs an OpBinary takes its position. The binary is the only part of any shape that can
 //     fail: loads, constants, jumps and slot stores cannot, and neither
 //     can a SRSLY cast of the NUMBR, NUMBAR or TROOF a binary yields. So
 //     a fused op fails where interp and compile do, at the operator. (An
@@ -41,8 +40,9 @@ package vm
 //     holds both.)
 //
 // After rewriting, every surviving jump target is remapped through the
-// old-index → new-index table; fused branches keep their target in D so
-// remapping never confuses a slot/const immediate in A with a code index.
+// old-index → new-index table; fused and word branches keep their target
+// in D so remapping never confuses a slot/const immediate in A with a
+// code index.
 
 // fuseChunk rewrites c.Code in place with superinstructions.
 func fuseChunk(c *Chunk) {
@@ -55,9 +55,8 @@ func fuseChunk(c *Chunk) {
 	// one wider than the code.
 	isTarget := make([]bool, len(code)+1)
 	for i := range code {
-		switch code[i].Op {
-		case OpJump, OpJumpFalse, OpJumpTrue, OpJumpFalseKeep, OpJumpTrueKeep:
-			isTarget[code[i].A] = true
+		if t, ok := jumpTarget(&code[i]); ok {
+			isTarget[*t] = true
 		}
 	}
 
@@ -69,6 +68,9 @@ func fuseChunk(c *Chunk) {
 			remap[i+k] = len(out)
 		}
 		if n > 1 {
+			for _, in := range code[i : i+n] {
+				fused.W += in.W
+			}
 			out = append(out, fused)
 		} else {
 			out = append(out, code[i])
@@ -78,15 +80,25 @@ func fuseChunk(c *Chunk) {
 	remap[len(code)] = len(out)
 
 	for i := range out {
-		in := &out[i]
-		switch in.Op {
-		case OpJump, OpJumpFalse, OpJumpTrue, OpJumpFalseKeep, OpJumpTrueKeep:
-			in.A = remap[in.A]
-		case OpFusedSlotJump, OpFusedSlotConstCmpJump, OpFusedSlotSlotCmpJump, OpFusedIncSlotJump:
-			in.D = remap[in.D]
+		if t, ok := jumpTarget(&out[i]); ok {
+			*t = remap[*t]
 		}
 	}
 	c.Code = out
+}
+
+// jumpTarget returns the field of in holding its jump target: A for the
+// plain jumps, D for the fused and word branches.
+func jumpTarget(in *Instr) (*int, bool) {
+	switch in.Op {
+	case OpJump, OpJumpFalse, OpJumpTrue, OpJumpFalseKeep, OpJumpTrueKeep:
+		return &in.A, true
+	case OpFusedSlotJump, OpFusedSlotConstCmpJump, OpFusedSlotSlotCmpJump, OpFusedIncSlotJump, OpWIncJump,
+		OpWJumpBiggerI, OpWJumpSmallrI, OpWJumpBothSaemI, OpWJumpDiffrintI,
+		OpWJumpBiggerF, OpWJumpSmallrF, OpWJumpBothSaemF, OpWJumpDiffrintF:
+		return &in.D, true
+	}
+	return nil, false
 }
 
 // jumpSense maps the two pop-variant conditional jumps to the branch-sense
@@ -104,8 +116,8 @@ func jumpSense(op Op) int {
 
 // matchFusion tries the patterns starting at code[i], longest first, and
 // returns the number of instructions consumed plus the replacement
-// (meaningful only when n > 1). Interior instructions of a candidate must
-// not be jump targets.
+// (meaningful only when n > 1; fuseChunk sums its weight). Interior
+// instructions of a candidate must not be jump targets.
 func matchFusion(code []Instr, i int, isTarget []bool) (int, Instr) {
 	clear := func(n int) bool {
 		if i+n > len(code) {
@@ -128,28 +140,28 @@ func matchFusion(code []Instr, i int, isTarget []bool) (int, Instr) {
 					// The canonical loop head: slot ⊕ const (or slot ⊕ slot),
 					// branch on the comparison.
 					if i1.Op == OpConst {
-						return 4, Instr{Op: OpFusedSlotConstCmpJump, Class: i2.Class, A: in0.A, B: i2.A | s, C: i1.A, D: i3.A, Pos: i2.Pos}
+						return 4, Instr{Op: OpFusedSlotConstCmpJump, A: in0.A, B: i2.A | s, C: i1.A, D: i3.A, Pos: i2.Pos}
 					}
 					if i1.Op == OpLoadSlot {
-						return 4, Instr{Op: OpFusedSlotSlotCmpJump, Class: i2.Class, A: in0.A, B: i2.A | s, C: i1.A, D: i3.A, Pos: i2.Pos}
+						return 4, Instr{Op: OpFusedSlotSlotCmpJump, A: in0.A, B: i2.A | s, C: i1.A, D: i3.A, Pos: i2.Pos}
 					}
 				}
 				// Whole statements of the form `dst R x ⊕ y` with slot/const
 				// operands: no value-stack traffic at all.
 				if i3.Op == OpStoreSlot {
 					if i1.Op == OpConst {
-						return 4, Instr{Op: OpFusedSlotConstBinaryStore, Class: i2.Class, A: in0.A, B: i2.A, C: i1.A, D: i3.A, Pos: i2.Pos}
+						return 4, Instr{Op: OpFusedSlotConstBinaryStore, A: in0.A, B: i2.A, C: i1.A, D: i3.A, Pos: i2.Pos}
 					}
 					if i1.Op == OpLoadSlot {
-						return 4, Instr{Op: OpFusedSlotSlotBinaryStore, Class: i2.Class, A: in0.A, B: i2.A, C: i1.A, D: i3.A, Pos: i2.Pos}
+						return 4, Instr{Op: OpFusedSlotSlotBinaryStore, A: in0.A, B: i2.A, C: i1.A, D: i3.A, Pos: i2.Pos}
 					}
 				}
 				if i3.Op == OpStoreSlotCast {
 					if i1.Op == OpConst {
-						return 4, Instr{Op: OpFusedSlotConstBinaryStoreCast, Class: i2.Class, A: in0.A, B: i2.A | i3.B<<fuseKindShift, C: i1.A, D: i3.A, S: i3.S, Pos: i2.Pos}
+						return 4, Instr{Op: OpFusedSlotConstBinaryStoreCast, A: in0.A, B: i2.A | i3.B<<fuseKindShift, C: i1.A, D: i3.A, S: i3.S, Pos: i2.Pos}
 					}
 					if i1.Op == OpLoadSlot {
-						return 4, Instr{Op: OpFusedSlotSlotBinaryStoreCast, Class: i2.Class, A: in0.A, B: i2.A | i3.B<<fuseKindShift, C: i1.A, D: i3.A, S: i3.S, Pos: i2.Pos}
+						return 4, Instr{Op: OpFusedSlotSlotBinaryStoreCast, A: in0.A, B: i2.A | i3.B<<fuseKindShift, C: i1.A, D: i3.A, S: i3.S, Pos: i2.Pos}
 					}
 				}
 			}
@@ -158,17 +170,17 @@ func matchFusion(code []Instr, i int, isTarget []bool) (int, Instr) {
 			i1, i2 := &code[i+1], &code[i+2]
 			if i2.Op == OpBinary {
 				if i1.Op == OpConst {
-					return 3, Instr{Op: OpFusedSlotConstBinary, Class: i2.Class, A: in0.A, B: i2.A, C: i1.A, Pos: i2.Pos}
+					return 3, Instr{Op: OpFusedSlotConstBinary, A: in0.A, B: i2.A, C: i1.A, Pos: i2.Pos}
 				}
 				if i1.Op == OpLoadSlot {
-					return 3, Instr{Op: OpFusedSlotSlotBinary, Class: i2.Class, A: in0.A, B: i2.A, C: i1.A, Pos: i2.Pos}
+					return 3, Instr{Op: OpFusedSlotSlotBinary, A: in0.A, B: i2.A, C: i1.A, Pos: i2.Pos}
 				}
 			}
 		}
 		if clear(2) {
 			i1 := &code[i+1]
 			if i1.Op == OpBinary {
-				return 2, Instr{Op: OpFusedSlotBinary, Class: i1.Class, A: in0.A, B: i1.A, Pos: i1.Pos}
+				return 2, Instr{Op: OpFusedSlotBinary, A: in0.A, B: i1.A, Pos: i1.Pos}
 			}
 			if s := jumpSense(i1.Op); s >= 0 {
 				// O RLY? and friends: load IT (or any slot), branch on it.
@@ -178,16 +190,16 @@ func matchFusion(code []Instr, i int, isTarget []bool) (int, Instr) {
 	case OpConst:
 		if clear(2) && code[i+1].Op == OpBinary {
 			i1 := &code[i+1]
-			return 2, Instr{Op: OpFusedConstBinary, Class: i1.Class, A: in0.A, B: i1.A, Pos: i1.Pos}
+			return 2, Instr{Op: OpFusedConstBinary, A: in0.A, B: i1.A, Pos: i1.Pos}
 		}
 	case OpBinary:
 		if clear(2) {
 			i1 := &code[i+1]
 			if i1.Op == OpStoreSlot {
-				return 2, Instr{Op: OpFusedBinaryStoreSlot, Class: in0.Class, A: i1.A, B: in0.A, Pos: in0.Pos}
+				return 2, Instr{Op: OpFusedBinaryStoreSlot, A: i1.A, B: in0.A, Pos: in0.Pos}
 			}
 			if i1.Op == OpStoreSlotCast {
-				return 2, Instr{Op: OpFusedBinaryStoreSlotCast, Class: in0.Class, A: i1.A, B: in0.A, C: i1.B, S: i1.S, Pos: in0.Pos}
+				return 2, Instr{Op: OpFusedBinaryStoreSlotCast, A: i1.A, B: in0.A, C: i1.B, S: i1.S, Pos: in0.Pos}
 			}
 		}
 	case OpIncSlot:

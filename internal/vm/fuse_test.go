@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -144,8 +146,54 @@ VISIBLE total
 KTHXBYE`,
 }
 
+// boxedSuffix names the twin of a fusionPrograms entry whose privates
+// and counters sema leaves boxed, so its arithmetic stays dynamic stack
+// code for the fusion pass to rewrite (the original's typed code is
+// word ops, which no pattern matches).
+const boxedSuffix = "-boxed"
+
+// boxedTwin rewrites src so sema holds none of its scalars in words: a
+// private declared with a value is declared bare and then assigned, a
+// SRSLY one is declared under an O RLY? so its Decl does not dominate
+// its reads, and every implicit loop counter is declared bare up front.
+func boxedTwin(src string) string {
+	decl := regexp.MustCompile(`^(\s*)I HAS A (\w+) ITZ (.+)$`)
+	var b strings.Builder
+	for _, line := range strings.Split(src, "\n") {
+		m := decl.FindStringSubmatch(line)
+		switch {
+		case m == nil || strings.Contains(m[3], "LOTZ"):
+			b.WriteString(line + "\n")
+		case strings.HasPrefix(m[3], "SRSLY"):
+			fmt.Fprintf(&b, "%sWIN, O RLY?\n%sYA RLY\n%s\n%sOIC\n", m[1], m[1], line, m[1])
+		default:
+			fmt.Fprintf(&b, "%sI HAS A %s\n%s%s R %s\n", m[1], m[2], m[1], m[2], m[3])
+		}
+	}
+	out := b.String()
+	counters := map[string]bool{}
+	for _, m := range regexp.MustCompile(`UPPIN YR (\w+)`).FindAllStringSubmatch(src, -1) {
+		if !counters[m[1]] && !strings.Contains(src, "I HAS A "+m[1]+" ") {
+			counters[m[1]] = true
+			out = strings.Replace(out, "HAI 1.2\n", "HAI 1.2\nI HAS A "+m[1]+"\n", 1)
+		}
+	}
+	return out
+}
+
+func init() {
+	twins := map[string]string{}
+	for name, src := range fusionPrograms {
+		twins[name+boxedSuffix] = boxedTwin(src)
+	}
+	for name, src := range twins {
+		fusionPrograms[name] = src
+	}
+}
+
 // TestFusionDifferential runs every fusion-shape program fused and
-// unfused at NP 1 and 4 and requires byte-identical grouped output.
+// unfused at NP 1 and 4 and requires byte-identical grouped output. The
+// boxed twins must shrink under fusion.
 func TestFusionDifferential(t *testing.T) {
 	for name, src := range fusionPrograms {
 		t.Run(name, func(t *testing.T) {
@@ -157,28 +205,46 @@ func TestFusionDifferential(t *testing.T) {
 					t.Errorf("np=%d fused output %q != unfused %q", np, got, want)
 				}
 			}
-			if len(fused.Main.Code) >= len(unfused.Main.Code) {
+			if strings.HasSuffix(name, boxedSuffix) && len(fused.Main.Code) >= len(unfused.Main.Code) {
 				t.Errorf("fusion did not shrink Main: %d >= %d", len(fused.Main.Code), len(unfused.Main.Code))
 			}
 		})
 	}
 }
 
+// TestBoxedTwinsStayBoxed checks the twins exercise what they exist for:
+// no word symbol in their main frame.
+func TestBoxedTwinsStayBoxed(t *testing.T) {
+	for name, src := range fusionPrograms {
+		if !strings.HasSuffix(name, boxedSuffix) {
+			continue
+		}
+		p := compileSrcOpts(t, src, Options{})
+		for _, sym := range p.Main.Scope.Order {
+			if isWord(sym) {
+				t.Errorf("%s: %s is a word symbol\n%s", name, sym.Name, src)
+			}
+		}
+	}
+}
+
 // TestFusionWeightSumInvariant is the static half of the metering
-// contract: the step weights of a fused chunk must sum to the pre-fusion
-// instruction count, so any executed path is accounted identically.
+// contract: the step weights of a fused chunk must sum to those of the
+// unfused chunk, so any executed path is accounted identically.
 func TestFusionWeightSumInvariant(t *testing.T) {
 	for name, src := range fusionPrograms {
 		t.Run(name, func(t *testing.T) {
 			fused := compileSrcOpts(t, src, Options{})
 			unfused := compileSrcOpts(t, src, Options{DisableFusion: true})
-			check := func(f, u *Chunk) {
-				var sum int64
-				for _, in := range f.Code {
-					sum += in.Op.Weight()
+			weight := func(c *Chunk) (sum int64) {
+				for _, in := range c.Code {
+					sum += int64(in.W)
 				}
-				if sum != int64(len(u.Code)) {
-					t.Errorf("chunk %s: fused weights sum to %d, unfused has %d instructions", f.Name, sum, len(u.Code))
+				return sum
+			}
+			check := func(f, u *Chunk) {
+				if fw, uw := weight(f), weight(u); fw != uw {
+					t.Errorf("chunk %s: fused weights sum to %d, unfused to %d", f.Name, fw, uw)
 				}
 			}
 			check(fused.Main, unfused.Main)
@@ -221,12 +287,12 @@ func TestFusionRespectsJumpTargets(t *testing.T) {
 	c := &Chunk{
 		Name: "synthetic",
 		Code: []Instr{
-			{Op: OpLoadSlot, A: 1},              // 0: quad/triple blocked by target at 2
-			{Op: OpConst, A: 0},                 // 1: pair blocked by target at 2
-			{Op: OpBinary, A: int(value.OpSum)}, // 2: jump target; pair with 3 may fuse
-			{Op: OpStoreSlot, A: 1},             // 3
-			{Op: OpJump, A: 2},                  // 4
-			{Op: OpHalt},                        // 5
+			{Op: OpLoadSlot, A: 1, W: 1},              // 0: quad/triple blocked by target at 2
+			{Op: OpConst, A: 0, W: 1},                 // 1: pair blocked by target at 2
+			{Op: OpBinary, A: int(value.OpSum), W: 1}, // 2: jump target; pair with 3 may fuse
+			{Op: OpStoreSlot, A: 1, W: 1},             // 3
+			{Op: OpJump, A: 2, W: 1},                  // 4
+			{Op: OpHalt, W: 1},                        // 5
 		},
 		Consts: []value.Value{value.NewNumbr(1)},
 	}
@@ -246,21 +312,14 @@ func TestFusionRespectsJumpTargets(t *testing.T) {
 }
 
 // TestFusedJumpTargetsInRange extends the jump-patching invariant to the
-// fused branch family: D must land inside the chunk after remapping.
+// fused and word branches: D must land inside the chunk after remapping.
 func TestFusedJumpTargetsInRange(t *testing.T) {
 	for name, src := range fusionPrograms {
 		p := compileSrcOpts(t, src, Options{})
 		for _, chunk := range append([]*Chunk{p.Main}, p.Funcs...) {
 			for i, in := range chunk.Code {
-				switch in.Op {
-				case OpJump, OpJumpTrue, OpJumpFalse, OpJumpTrueKeep, OpJumpFalseKeep:
-					if in.A < 0 || in.A > len(chunk.Code) {
-						t.Errorf("%s: %s[%d]: %v target %d out of range", name, chunk.Name, i, in.Op, in.A)
-					}
-				case OpFusedSlotJump, OpFusedSlotConstCmpJump, OpFusedSlotSlotCmpJump, OpFusedIncSlotJump:
-					if in.D < 0 || in.D > len(chunk.Code) {
-						t.Errorf("%s: %s[%d]: %v target %d out of range", name, chunk.Name, i, in.Op, in.D)
-					}
+				if tgt, ok := jumpTarget(&in); ok && (*tgt < 0 || *tgt > len(chunk.Code)) {
+					t.Errorf("%s: %s[%d]: %v target %d out of range", name, chunk.Name, i, in.Op, *tgt)
 				}
 			}
 		}

@@ -2,22 +2,26 @@ package vm
 
 import (
 	"fmt"
+	"math"
+	"strings"
 
 	"repro/internal/sema"
 	"repro/internal/token"
 	"repro/internal/value"
 )
 
-// Op is a bytecode operation. The VM is a value-stack machine: operands
-// named in the comments are popped from (and results pushed onto) the
-// evaluation stack; A, B, C and D are immediate operands baked into the
-// instruction at compile time.
+// Op is a bytecode operation. Dynamic code runs on a value stack:
+// operands named in the comments are popped from (and results pushed
+// onto) the evaluation stack; A, B, C and D are immediate operands baked
+// into the instruction at compile time. Typed code runs on the frame's
+// word file instead (the OpW ops; see the package doc): A is the
+// destination word and B and C the operand words, w[i] naming word i.
 //
-// The enum is laid out deliberately: the hot arithmetic/control cluster —
-// the plain ops the compiler emits in loop bodies plus every fused
-// superinstruction — occupies the dense low range so the dispatch
-// switch's jump table keeps the loop-dominant cases together; the cold
-// I/O, heap-array and dynamic-lookup ops follow.
+// The enum is laid out deliberately: the hot cluster — the plain stack
+// ops, the word ops and every fused superinstruction — occupies the
+// dense low range so the dispatch switch's jump table keeps the
+// loop-dominant cases together; the cold I/O, heap-array and
+// dynamic-lookup ops follow.
 type Op uint8
 
 const (
@@ -33,29 +37,96 @@ const (
 	OpJumpFalse // pop; jump when not truthy
 	OpJumpTrue  // pop; jump when truthy
 
-	// --- fused superinstructions (see fuse.go). Each replaces a fixed
-	// sequence the compiler emits and carries that sequence's step count
-	// as its static weight, so backend.Meter accounting is identical to
-	// the unfused program. B packs the BinOp in its low bits; fused jumps
-	// add the fuseJumpOnTrue bit and carry their target in D.
-	OpFusedConstBinary         // tos = Binary(B, tos, Consts[A]); w=2
-	OpFusedSlotBinary          // tos = Binary(B, tos, slots[A]); w=2
-	OpFusedSlotConstBinary     // push Binary(B, slots[A], Consts[C]); w=3
-	OpFusedSlotSlotBinary      // push Binary(B, slots[A], slots[C]); w=3
-	OpFusedBinaryStoreSlot     // y=pop, x=pop; slots[A] = Binary(B, x, y); w=2
-	OpFusedBinaryStoreSlotCast // y=pop, x=pop; slots[A] = cast(Binary(B, x, y), Kind(C)); S names the SRSLY var; w=2
-	OpFusedSlotJump            // jump to D when slots[A] truthiness matches B's sense; w=2
-	OpFusedSlotConstCmpJump    // jump to D when Binary(B, slots[A], Consts[C]) truthiness matches B's sense; w=4
-	OpFusedSlotSlotCmpJump     // jump to D when Binary(B, slots[A], slots[C]) truthiness matches B's sense; w=4
-	OpFusedIncSlotJump         // slots[A] = NUMBR(slots[A]) + B; ip = D (loop back-edge); w=2
+	// --- word ops. The two binary blocks follow value.BinOp's order from
+	// SUM OF to DIFFRINT, so wordBinOp is one addition: the seven
+	// arithmetic ops write w[A] = w[B] op w[C], the four comparisons push
+	// TROOF(w[B] op w[C]). Both operands have the block's kind; a NUMBR
+	// operand of a NUMBAR op is widened first, as value.Binary widens.
+	OpWSumI // NUMBR block
+	OpWDiffI
+	OpWProduktI
+	OpWQuoshuntI
+	OpWModI
+	OpWBiggrOfI
+	OpWSmallrOfI
+	OpWBiggerI
+	OpWSmallrI
+	OpWBothSaemI
+	OpWDiffrintI
+	OpWSumF // NUMBAR block
+	OpWDiffF
+	OpWProduktF
+	OpWQuoshuntF
+	OpWModF
+	OpWBiggrOfF
+	OpWSmallrOfF
+	OpWBiggerF
+	OpWSmallrF
+	OpWBothSaemF
+	OpWDiffrintF
+
+	// Compare-and-branch, in the comparisons' BinOp order: jump to D when
+	// (w[B] op w[C]) == (A != 0).
+	OpWJumpBiggerI
+	OpWJumpSmallrI
+	OpWJumpBothSaemI
+	OpWJumpDiffrintI
+	OpWJumpBiggerF
+	OpWJumpSmallrF
+	OpWJumpBothSaemF
+	OpWJumpDiffrintF
+
+	// Unary math, two per value.UnOp from SQUAR OF: w[A] = op w[B] for a
+	// NUMBR (I) or NUMBAR (F) operand. Only SQUAR OF of a NUMBR yields a
+	// NUMBR.
+	OpWSquarI
+	OpWSquarF
+	OpWUnsquarI
+	OpWUnsquarF
+	OpWFlipI
+	OpWFlipF
+
+	OpWMove    // w[A] = w[B]
+	OpWWiden   // w[A] = NUMBAR(w[B]), w[B] a NUMBR
+	OpWTrunc   // w[A] = NUMBR(w[B]), w[B] a NUMBAR: MAEK's truncation
+	OpWIncJump // w[A] += B; ip = D (a loop back-edge); S names the counter
+	OpWBoxI    // push NUMBR w[A]
+	OpWBoxF    // push NUMBAR w[A]
+
+	// Typed reads into w[A].
+	OpWElemSlotI // w[A] = slots[C][w[B]], a private NUMBRS array; S names it
+	OpWElemSlotF // the same for NUMBARS
+	OpWElemHeapI // w[A] = heap[C][w[B]] of the target PE (D&flagRemote)
+	OpWElemHeapF // the same for NUMBARS
+	OpWLoadHeapI // w[A] = shared scalar heap[B] (C&flagRemote), converted to NUMBR
+	OpWLoadHeapF // the same, converted to NUMBAR
+	OpWMe        // w[A] = the PE id
+	OpWMahFrenz  // w[A] = the PE count
+	OpWWhatevr   // w[A] = a random NUMBR
+	OpWWhatevar  // w[A] = a random NUMBAR in [0,1)
+
+	// --- fused superinstructions (see fuse.go), for dynamic code. Each
+	// replaces a fixed sequence of stack ops and carries their summed
+	// step weight. B packs the BinOp in its low bits; fused jumps add the
+	// fuseJumpOnTrue bit and carry their target in D.
+	OpFusedConstBinary         // tos = Binary(B, tos, Consts[A])
+	OpFusedSlotBinary          // tos = Binary(B, tos, slots[A])
+	OpFusedSlotConstBinary     // push Binary(B, slots[A], Consts[C])
+	OpFusedSlotSlotBinary      // push Binary(B, slots[A], slots[C])
+	OpFusedBinaryStoreSlot     // y=pop, x=pop; slots[A] = Binary(B, x, y)
+	OpFusedBinaryStoreSlotCast // y=pop, x=pop; slots[A] = cast(Binary(B, x, y), Kind(C)); S names the SRSLY var
+	OpFusedSlotJump            // jump to D when slots[A] truthiness matches B's sense
+	OpFusedSlotConstCmpJump    // jump to D when Binary(B, slots[A], Consts[C]) truthiness matches B's sense
+	OpFusedSlotSlotCmpJump     // jump to D when Binary(B, slots[A], slots[C]) truthiness matches B's sense
+	OpFusedIncSlotJump         // slots[A] = NUMBR(slots[A]) + B; ip = D (loop back-edge)
 
 	// Whole-statement fusions: a two-operand expression assigned straight
 	// to a slot, with no value-stack traffic at all. D is the destination
 	// slot; the Cast variants pack the SRSLY kind into B above the BinOp.
-	OpFusedSlotConstBinaryStore     // slots[D] = Binary(B, slots[A], Consts[C]); w=4
-	OpFusedSlotConstBinaryStoreCast // slots[D] = cast(Binary(B, slots[A], Consts[C])); w=4
-	OpFusedSlotSlotBinaryStore      // slots[D] = Binary(B, slots[A], slots[C]); w=4
-	OpFusedSlotSlotBinaryStoreCast  // slots[D] = cast(Binary(B, slots[A], slots[C])); w=4
+	OpFusedSlotConstBinaryStore     // slots[D] = Binary(B, slots[A], Consts[C])
+	OpFusedSlotConstBinaryStoreCast // slots[D] = cast(Binary(B, slots[A], Consts[C]))
+	OpFusedSlotSlotBinaryStore      // slots[D] = Binary(B, slots[A], slots[C])
+	OpFusedSlotSlotBinaryStoreCast  // slots[D] = cast(Binary(B, slots[A], slots[C]))
 
 	// --- the rest of the frame/stack ops
 	OpPop           // drop the top of stack
@@ -66,6 +137,12 @@ const (
 	OpStoreElemSlot // i=pop, v=pop; slots[A][i] = v; S names the array
 	OpJumpFalseKeep // peek; jump when not truthy, keeping the value (short-circuit)
 	OpJumpTrueKeep  // peek; jump when truthy, keeping the value (short-circuit)
+
+	// --- the word file's boundary with dynamic values
+	OpWIndex     // w[A] = pop as an array index
+	OpWCast      // w[A] = Cast(pop, Kind(B)) (a MAEK of a dynamic operand)
+	OpWStoreCast // w[A] = Cast(pop, Kind(B)); S names the SRSLY var
+	OpWUnbox     // w[A] = pop, which sema promised is a Kind(B); S names the var
 
 	// --- symmetric heap (PGAS); B&flagRemote selects the predication target
 	OpLoadHeap     // push scalar heap[A] (local get, or remote get of pred target)
@@ -152,6 +229,31 @@ var opNames = [...]string{
 	OpFusedSlotConstBinaryStoreCast: "fuse.slot.const.binary.store.cast",
 	OpFusedSlotSlotBinaryStore:      "fuse.slot.slot.binary.store",
 	OpFusedSlotSlotBinaryStoreCast:  "fuse.slot.slot.binary.store.cast",
+
+	OpWSquarI: "w.squar.i", OpWSquarF: "w.squar.f",
+	OpWUnsquarI: "w.unsquar.i", OpWUnsquarF: "w.unsquar.f",
+	OpWFlipI: "w.flip.i", OpWFlipF: "w.flip.f",
+	OpWMove: "w.move", OpWWiden: "w.widen", OpWTrunc: "w.trunc",
+	OpWIncJump: "w.inc.jump", OpWBoxI: "w.box.i", OpWBoxF: "w.box.f",
+	OpWElemSlotI: "w.elem.slot.i", OpWElemSlotF: "w.elem.slot.f",
+	OpWElemHeapI: "w.elem.heap.i", OpWElemHeapF: "w.elem.heap.f",
+	OpWLoadHeapI: "w.load.heap.i", OpWLoadHeapF: "w.load.heap.f",
+	OpWMe: "w.me", OpWMahFrenz: "w.mahfrenz", OpWWhatevr: "w.whatevr", OpWWhatevar: "w.whatevar",
+	OpWIndex: "w.index", OpWCast: "w.cast", OpWStoreCast: "w.store.cast", OpWUnbox: "w.unbox",
+}
+
+// The binary blocks' names derive from the operators': "w.sum.i",
+// "w.biggr.of.f", "w.jump.both.saem.i".
+func init() {
+	for op := value.OpSum; op <= value.OpDiffrint; op++ {
+		name := strings.ToLower(strings.ReplaceAll(op.String(), " ", "."))
+		opNames[wordBinOp(op, value.Numbr)] = "w." + name + ".i"
+		opNames[wordBinOp(op, value.Numbar)] = "w." + name + ".f"
+		if op >= value.OpBigger {
+			opNames[wordJumpOp(op, value.Numbr)] = "w.jump." + name + ".i"
+			opNames[wordJumpOp(op, value.Numbar)] = "w.jump." + name + ".f"
+		}
+	}
 }
 
 func (op Op) String() string {
@@ -161,40 +263,53 @@ func (op Op) String() string {
 	return fmt.Sprintf("op(%d)", int(op))
 }
 
-// opWeights is the static step weight of every opcode: 1 for plain
-// instructions, the replaced sequence's instruction count for fused
-// superinstructions. The dispatch loop meters StepN(opWeights[op]) per
-// instruction, so a step budget counts pre-fusion instructions exactly.
-var opWeights [256]int64
-
-func init() {
-	for i := range opWeights {
-		opWeights[i] = 1
-	}
-	opWeights[OpFusedConstBinary] = 2
-	opWeights[OpFusedSlotBinary] = 2
-	opWeights[OpFusedSlotConstBinary] = 3
-	opWeights[OpFusedSlotSlotBinary] = 3
-	opWeights[OpFusedBinaryStoreSlot] = 2
-	opWeights[OpFusedBinaryStoreSlotCast] = 2
-	opWeights[OpFusedSlotJump] = 2
-	opWeights[OpFusedSlotConstCmpJump] = 4
-	opWeights[OpFusedSlotSlotCmpJump] = 4
-	opWeights[OpFusedIncSlotJump] = 2
-	opWeights[OpFusedSlotConstBinaryStore] = 4
-	opWeights[OpFusedSlotConstBinaryStoreCast] = 4
-	opWeights[OpFusedSlotSlotBinaryStore] = 4
-	opWeights[OpFusedSlotSlotBinaryStoreCast] = 4
+// Word reports whether op reads or writes the word file.
+func (op Op) Word() bool {
+	return op >= OpWSumI && op <= OpWWhatevar || op >= OpWIndex && op <= OpWUnbox
 }
 
-// Weight is the opcode's static step weight: the number of pre-fusion
-// instructions one executed instance accounts for against the step
-// budget. Plain opcodes weigh 1.
-func (op Op) Weight() int64 { return opWeights[op] }
+// wordBinOp is the word opcode of a SUM OF … DIFFRINT op on operands of
+// kind k.
+func wordBinOp(op value.BinOp, k value.Kind) Op {
+	if k == value.Numbar {
+		return OpWSumF + Op(op)
+	}
+	return OpWSumI + Op(op)
+}
 
-// Fused reports whether the opcode is a superinstruction produced by the
-// fusion pass (weight > 1).
-func (op Op) Fused() bool { return opWeights[op] > 1 }
+// wordJumpOp is the compare-and-branch opcode of a comparison op on
+// operands of kind k.
+func wordJumpOp(op value.BinOp, k value.Kind) Op {
+	o := OpWJumpBiggerI + Op(op-value.OpBigger)
+	if k == value.Numbar {
+		o += OpWJumpBiggerF - OpWJumpBiggerI
+	}
+	return o
+}
+
+// wordUnOp is the word opcode of a SQUAR OF, UNSQUAR OF or FLIP OF op on
+// an operand of kind k.
+func wordUnOp(op value.UnOp, k value.Kind) Op {
+	o := OpWSquarI + 2*Op(op-value.OpSquar)
+	if k == value.Numbar {
+		o++
+	}
+	return o
+}
+
+// wordOpKind is the operand kind of a typed binary or compare-and-branch
+// op, and the op's BinOp.
+func wordOpKind(op Op) (value.BinOp, value.Kind) {
+	switch {
+	case op >= OpWSumI && op <= OpWDiffrintI:
+		return value.BinOp(op - OpWSumI), value.Numbr
+	case op >= OpWSumF && op <= OpWDiffrintF:
+		return value.BinOp(op - OpWSumF), value.Numbar
+	case op >= OpWJumpBiggerI && op <= OpWJumpDiffrintI:
+		return value.OpBigger + value.BinOp(op-OpWJumpBiggerI), value.Numbr
+	}
+	return value.OpBigger + value.BinOp(op-OpWJumpBiggerF), value.Numbar
+}
 
 // OpVisible B flags.
 const (
@@ -219,13 +334,18 @@ const (
 // Instr is one decoded instruction. The VM trades the byte-packed encoding
 // of a production VM for direct struct access: no operand decoding on the
 // hot path, and every instruction carries its source position for errors.
-// D is the jump target of fused compare-and-branch superinstructions,
-// kept separate from A so slot/const operands never alias a target during
-// fusion's index remapping. Class sits in the padding after Op, so it
-// costs no space.
+// D is the jump target of fused and word compare-and-branch ops, kept
+// separate from A so slot/const operands never alias a target during
+// fusion's index remapping.
+//
+// W is the instruction's step weight: the number of stack instructions a
+// plain stack compilation of the AST nodes it covers would execute (see
+// the package doc). The meter charges W per execution, so a step budget
+// counts the same steps whatever the lowering. W sits in the padding
+// after Op, so it costs no space.
 type Instr struct {
 	Op         Op
-	Class      Class // static operand class of a numeric operation; 0 = dynamic
+	W          uint32
 	A, B, C, D int
 	S          string // symbol name for error messages; usually empty
 	Pos        token.Pos
@@ -244,118 +364,169 @@ func (in Instr) String() string {
 
 // Chunk is one compiled frame body: the main program or one HOW IZ I
 // function. NSlots is the frame size computed by sema's slot resolution;
-// Scope is retained only for the dynamic name lookups SRS and :{var}
-// interpolation need at runtime.
+// Scope is retained only for the dynamic name lookups SRS needs at
+// runtime.
+//
+// Words is the template every frame's word file starts as: NWords
+// words, the first NSlots the homes of the frame's word symbols (by
+// slot), then the typed constants, holding their bits, and the
+// temporaries. wkind records each constant's kind for listings.
 type Chunk struct {
 	Name   string
 	Code   []Instr
 	Consts []value.Value
 	NSlots int
+	NWords int
+	Words  []uint64
+	wkind  []value.Kind
 	Params int
 	Scope  *sema.Scope
 }
 
-// Class is the static operand class the compiler stamps on a numeric
-// operation from sema's StaticKind facts (see compiler.go). It promises
-// the operands' kinds, so the VM reads their raw payloads with no Kind()
-// dispatch:
-//
-//   - classInt: a NUMBR × NUMBR binary op, a unary op on a NUMBR, or a
-//     shared scalar load that must yield a NUMBR;
-//   - classFloat: float arithmetic, with widenX and widenY marking the
-//     operands that are NUMBRs and widen to float64, exactly as
-//     value.Binary widens mixed operands. A unary op or a shared scalar
-//     load of class classFloat has a NUMBAR operand.
-//
-// Zero is dynamic: the operation dispatches on its operands' runtime
-// kinds, through the same typed bodies when both turn out numeric.
-type Class uint8
+// The word file's helpers. A word holds a NUMBR's int64 bits or a
+// NUMBAR's float64 bits and records no kind: the opcode reading it knows
+// the kind, and W its step weight. Values cross the boundary only
+// through these helpers: wordValue boxes a word for a dynamic consumer;
+// unbox checks the kind sema promised for a dynamic value stored into a
+// word, castWord casts one as MAEK or a SRSLY store does, and heapWord
+// converts a shared SRSLY scalar as every typed read of it does.
 
-const (
-	classInt Class = 1 << iota
-	classFloat
-	widenX
-	widenY
-)
-
-// String is the class mark Disassemble prints: "i", "f", or for a widened
-// float op the operand kinds, "if" (NUMBR x) or "fi" (NUMBR y).
-func (cl Class) String() string {
-	switch {
-	case cl == 0:
-		return ""
-	case cl == classInt:
-		return "i"
-	case cl&widenX != 0:
-		return "if"
-	case cl&widenY != 0:
-		return "fi"
-	}
-	return "f"
+// isWord reports whether sym lives in the word file: a private or loop
+// counter sema holds as a raw int64 or float64.
+func isWord(sym *sema.Symbol) bool {
+	return sym.Kind != sema.SymShared && !sym.IsArray && (sym.Rep == sema.RepInt || sym.Rep == sema.RepFloat)
 }
 
-// kindClass is the class of an operand of static kind k.
-func kindClass(k value.Kind) Class {
+// repKind is the kind a word symbol holds.
+func repKind(sym *sema.Symbol) value.Kind {
+	if sym.Rep == sema.RepFloat {
+		return value.Numbar
+	}
+	return value.Numbr
+}
+
+// The word file holds a NUMBR as its int64 bits and a NUMBAR as its
+// float64 bits.
+func wf(u uint64) float64 { return math.Float64frombits(u) }
+func fw(f float64) uint64 { return math.Float64bits(f) }
+
+// wordValue boxes a word of kind k.
+func wordValue(u uint64, k value.Kind) value.Value {
 	if k == value.Numbar {
-		return classFloat
+		return value.NewNumbar(wf(u))
 	}
-	return classInt
+	return value.NewNumbr(int64(u))
 }
 
-// pairClass is the class of a binary op whose operands have kinds xk and
-// yk, or 0 when either is not a NUMBR or NUMBAR.
-func pairClass(xk, yk value.Kind) Class {
+// unbox is the word of v, which sema promised is a k. A broken promise
+// is an internal error, never a read of the wrong payload.
+func unbox(v value.Value, k value.Kind, name string) (uint64, error) {
 	switch {
-	case xk == value.Numbr && yk == value.Numbr:
-		return classInt
-	case xk == value.Numbar && yk == value.Numbar:
-		return classFloat
-	case xk == value.Numbr && yk == value.Numbar:
-		return classFloat | widenX
-	case xk == value.Numbar && yk == value.Numbr:
-		return classFloat | widenY
+	case v.Kind() != k:
+	case k == value.Numbar:
+		return fw(v.Numbar()), nil
+	default:
+		return uint64(v.Numbr()), nil
 	}
-	return 0
+	return 0, fmt.Errorf("vm: internal error: %s holds a %s where a %s was proven", name, v.Kind(), k)
 }
 
-// fx and fy read a float-class operand: the NUMBAR payload, or the NUMBR
-// widened to float64 when its widen bit is set.
-func (cl Class) fx(x *value.Value) float64 {
-	if cl&widenX != 0 {
-		return float64(x.Numbr())
+// castWord is Cast(v, k) as a word.
+func castWord(v value.Value, k value.Kind) (uint64, error) {
+	cv, err := value.Cast(v, k)
+	if err != nil {
+		return 0, err
 	}
-	return x.Numbar()
+	return unbox(cv, k, "MAEK")
 }
 
-func (cl Class) fy(y *value.Value) float64 {
-	if cl&widenY != 0 {
-		return float64(y.Numbr())
+// heapWord makes a shared SRSLY scalar read, v, the kind k sema counts
+// it at: a no-op once the owner's WE HAS A has run, a conversion (or its
+// error) while the cell still holds NOOB.
+func heapWord(v value.Value, k value.Kind) (uint64, error) {
+	if k == value.Numbr {
+		n, err := v.ToNumbr()
+		return uint64(n), err
 	}
-	return y.Numbar()
+	f, err := v.ToNumbar()
+	return fw(f), err
 }
 
-// The operation helpers below are shared by the plain and the fused
-// opcodes. Operands and destination are passed by pointer — into the
-// value stack, the slot array or the constant pool — so no 48-byte
-// value.Value is copied in or out, and the result is written in place
-// (dst may alias an operand; every body reads its operands first). A
-// typed class takes its typed body straight away. Class 0 derives the
-// class from the operands' runtime kinds and, when both are numeric,
-// takes the same typed body; anything else goes to value.Binary or
-// value.Unary. Division, modulo, UNSQUAR and FLIP go through value.Raw*
-// and the rest through value.BinaryNumbr, BinaryNumbar or RawCmp*, so
-// results and error text stay single-sourced with the generic path.
+// wordBin is w[B] op w[C] for the typed ops whose body can fail or is not
+// one Go expression: QUOSHUNT, MOD, BIGGR and SMALLR OF. value's helpers
+// keep results and error text single-sourced with value.Binary.
+func wordBin(op Op, x, y uint64) (uint64, error) {
+	bop, k := wordOpKind(op)
+	if k == value.Numbr {
+		a, b := int64(x), int64(y)
+		var n int64
+		var err error
+		switch bop {
+		case value.OpQuoshunt:
+			n, err = value.RawQuoshuntNumbr(a, b)
+		case value.OpMod:
+			n, err = value.RawModNumbr(a, b)
+		default:
+			var v value.Value
+			v, err = value.BinaryNumbr(bop, a, b)
+			n = v.Numbr()
+		}
+		return uint64(n), err
+	}
+	a, b := wf(x), wf(y)
+	var f float64
+	var err error
+	switch bop {
+	case value.OpQuoshunt:
+		f, err = value.RawQuoshuntNumbar(a, b)
+	case value.OpMod:
+		f, err = value.RawModNumbar(a, b)
+	default:
+		var v value.Value
+		v, err = value.BinaryNumbar(bop, a, b)
+		f = v.Numbar()
+	}
+	return fw(f), err
+}
+
+// The helpers below are the dynamic ops' bodies, shared by the plain and
+// the fused opcodes. Operands and destination are passed by pointer —
+// into the value stack, the slot array or the constant pool — so no
+// 48-byte value.Value is copied in or out, and the result is written in
+// place (dst may alias an operand; every body reads its operands first).
+// Operands that are numeric at run time take typed bodies; anything else
+// goes to value.Binary or value.Unary. Division, modulo, UNSQUAR and FLIP
+// go through value.Raw* and the rest through value.BinaryNumbr,
+// BinaryNumbar or RawCmp*, so results and error text stay single-sourced
+// with the generic path.
+
+// numPair reports whether x and y are both numeric, and whether both are
+// NUMBRs.
+func numPair(x, y *value.Value) (numeric, ints bool) {
+	xk, yk := x.Kind(), y.Kind()
+	if xk == value.Numbr && yk == value.Numbr {
+		return true, true
+	}
+	return (xk == value.Numbr || xk == value.Numbar) && (yk == value.Numbr || yk == value.Numbar), false
+}
+
+// toF reads a numeric operand as float64, widening a NUMBR.
+func toF(v *value.Value) float64 {
+	if v.Kind() == value.Numbr {
+		return float64(v.Numbr())
+	}
+	return v.Numbar()
+}
 
 // binInto is *dst = Binary(op, *x, *y).
-func binInto(dst *value.Value, op value.BinOp, cl Class, x, y *value.Value) error {
-	if cl == 0 {
-		if cl = pairClass(x.Kind(), y.Kind()); cl == 0 {
-			return binGeneric(dst, op, x, y)
-		}
+func binInto(dst *value.Value, op value.BinOp, x, y *value.Value) error {
+	numeric, ints := numPair(x, y)
+	if !numeric {
+		return binGeneric(dst, op, x, y)
 	}
 	var v value.Value
 	var err error
-	if cl == classInt {
+	if ints {
 		a, b := x.Numbr(), y.Numbr()
 		if addSubMul(op) {
 			*dst = value.NewNumbr(intArith(op, a, b))
@@ -370,7 +541,7 @@ func binInto(dst *value.Value, op value.BinOp, cl Class, x, y *value.Value) erro
 		}
 		v, err = value.BinaryNumbr(op, a, b)
 	} else {
-		a, b := cl.fx(x), cl.fy(y)
+		a, b := toF(x), toF(y)
 		if addSubMul(op) {
 			*dst = value.NewNumbar(floatArith(op, a, b))
 			return nil
@@ -404,9 +575,9 @@ func binGeneric(dst *value.Value, op value.BinOp, x, y *value.Value) error {
 
 // binCast is a binary op stored into a SRSLY private of type k:
 // *dst = Cast(Binary(op, *x, *y), k).
-func binCast(dst *value.Value, op value.BinOp, cl Class, x, y *value.Value, k value.Kind, name string) error {
+func binCast(dst *value.Value, op value.BinOp, x, y *value.Value, k value.Kind, name string) error {
 	var v value.Value
-	if err := binInto(&v, op, cl, x, y); err != nil {
+	if err := binInto(&v, op, x, y); err != nil {
 		return err
 	}
 	if v.Kind() != k {
@@ -420,46 +591,21 @@ func binCast(dst *value.Value, op value.BinOp, cl Class, x, y *value.Value, k va
 	return nil
 }
 
-// convert makes a shared SRSLY scalar read, v, the kind its class
-// promises: a no-op once the owner's WE HAS A has run, a conversion (or
-// its error) while the cell still holds NOOB.
-func convert(v value.Value, cl Class) (value.Value, error) {
-	if cl == classInt {
-		if v.Kind() == value.Numbr {
-			return v, nil
-		}
-		n, err := v.ToNumbr()
-		return value.NewNumbr(n), err
-	}
-	if v.Kind() == value.Numbar {
-		return v, nil
-	}
-	f, err := v.ToNumbar()
-	return value.NewNumbar(f), err
-}
-
 // unInto is *dst = Unary(op, *x).
-func unInto(dst *value.Value, op value.UnOp, cl Class, x *value.Value) error {
-	if cl == 0 {
-		switch x.Kind() {
-		case value.Numbr:
-			cl = classInt
-		case value.Numbar:
-			cl = classFloat
-		default:
-			return unGeneric(dst, op, x)
-		}
-	}
+func unInto(dst *value.Value, op value.UnOp, x *value.Value) error {
 	var f float64
-	if cl == classInt {
+	switch x.Kind() {
+	case value.Numbr:
 		n := x.Numbr()
 		if op == value.OpSquar {
 			*dst = value.NewNumbr(n * n)
 			return nil
 		}
 		f = float64(n)
-	} else {
+	case value.Numbar:
 		f = x.Numbar()
+	default:
+		return unGeneric(dst, op, x)
 	}
 	var err error
 	switch op {
@@ -491,22 +637,18 @@ func unGeneric(dst *value.Value, op value.UnOp, x *value.Value) error {
 
 // truthBin is Binary(op, *x, *y).ToTroof() for a fused compare-and-branch:
 // a numeric comparison never builds the intermediate TROOF.
-func truthBin(op value.BinOp, cl Class, x, y *value.Value) (bool, error) {
-	if cl == 0 {
-		cl = pairClass(x.Kind(), y.Kind())
-	}
-	switch {
-	case cl == classInt:
+func truthBin(op value.BinOp, x, y *value.Value) (bool, error) {
+	if numeric, ints := numPair(x, y); ints {
 		if res, ok := value.RawCmpNumbr(op, x.Numbr(), y.Numbr()); ok {
 			return res, nil
 		}
-	case cl != 0:
-		if res, ok := value.RawCmpNumbar(op, cl.fx(x), cl.fy(y)); ok {
+	} else if numeric {
+		if res, ok := value.RawCmpNumbar(op, toF(x), toF(y)); ok {
 			return res, nil
 		}
 	}
 	var v value.Value
-	if err := binInto(&v, op, cl, x, y); err != nil {
+	if err := binInto(&v, op, x, y); err != nil {
 		return false, err
 	}
 	return v.ToTroof(), nil

@@ -12,12 +12,12 @@ import (
 	"repro/internal/vm"
 )
 
-// The typed-op parity test: generated programs drive every operand class
-// the VM compiler stamps through every shape the compiler and the fusion
-// pass produce, and every in-process engine must match interp on them.
+// The typed-op parity test: generated programs drive every word opcode
+// the VM compiler emits for an operator through every operand source and
+// consumer, and every in-process engine must match interp on them.
 
-// typedCase is one generated program. Every operation op in it carries
-// the class mark mark in the VM's listing.
+// typedCase is one generated program. Every operation op in it is a word
+// op of kind mark ("i" or "f") in the VM's listing.
 type typedCase struct {
 	name, src, op, mark string
 }
@@ -119,14 +119,10 @@ func consume(form, expr string) string {
 // failing operation ends the program with its error.
 func typedCases() []typedCase {
 	kinds := []string{"NUMBR", "NUMBAR"}
+	// A mixed pair widens its NUMBR, so the op is a NUMBAR op.
 	mark := func(kx, ky string) string {
-		switch {
-		case kx == "NUMBR" && ky == "NUMBR":
+		if kx == "NUMBR" && ky == "NUMBR" {
 			return "i"
-		case kx == "NUMBR":
-			return "if"
-		case ky == "NUMBR":
-			return "fi"
 		}
 		return "f"
 	}
@@ -231,20 +227,26 @@ func runTyped(b backend.Backend, info *sema.Info) string {
 	return out.String() + "\nok"
 }
 
+// wordOpName is the listing name of op's word opcode of kind mark, e.g.
+// "w.sum.of.f"; prefix is "w." or, for a compare-and-branch, "w.jump.".
+func wordOpName(prefix, op, mark string) string {
+	return prefix + strings.ToLower(strings.ReplaceAll(op, " ", ".")) + "." + mark
+}
+
 // TestTypedOpsMatchInterp requires every registered in-process engine to
 // print interp's bytes and end with its outcome, error text and position
 // on every generated program. Through the VM's listing it also requires
-// that each program's operation is typed wherever it occurs, and that
-// every class and every shape that can hold a typed operation occurs,
-// so the test cannot pass by falling back to dynamic ops.
+// that each program's operation is a word op of the program's kind
+// wherever it occurs, and that every word opcode of every operator, and
+// the widening of a NUMBR operand, occurs, so the test cannot pass by
+// falling back to dynamic ops.
 func TestTypedOpsMatchInterp(t *testing.T) {
 	ref, err := backend.ByName("interp")
 	if err != nil {
 		t.Fatal(err)
 	}
 	engines := backend.All()
-	marks := map[string]bool{}
-	shapes := map[string]bool{}
+	seen := map[string]bool{}
 	for _, c := range typedCases() {
 		prog, err := core.Parse("typed.lol", c.src)
 		if err != nil {
@@ -255,21 +257,25 @@ func TestTypedOpsMatchInterp(t *testing.T) {
 			t.Fatalf("%s: vm compile: %v", c.name, err)
 		}
 		listing := vm.Disassemble(p)
-		typed := c.op + ":" + c.mark
+		typed := c.op + ":" + c.mark + " "
 		n, m := 0, 0
 		for _, line := range strings.Split(listing, "\n") {
 			f := strings.Fields(line)
+			if len(f) > 1 && strings.HasPrefix(f[1], "w.") {
+				seen[f[1]] = true
+			}
 			if i := strings.Index(line, c.op); i >= 0 {
 				n++
-				if rest := line[i+len(typed):]; strings.HasPrefix(line[i:], typed) && (rest == "" || rest[0] == ' ') {
+				switch {
+				case !strings.HasPrefix(line[i:], typed):
+				case f[1] == wordOpName("w.", c.op, c.mark), f[1] == wordOpName("w.jump.", c.op, c.mark),
+					f[1] == wordOpName("w.", strings.TrimSuffix(c.op, " OF"), c.mark): // the unaries
 					m++
-					shapes[f[1]] = true
-					marks[c.mark] = true
 				}
 			}
 		}
 		if n == 0 || m != n {
-			t.Errorf("%s: %d of %d occurrences of %s are %s\n%s", c.name, m, n, c.op, typed, listing)
+			t.Errorf("%s: %d of %d occurrences of %s are word ops of kind %s\n%s", c.name, m, n, c.op, c.mark, listing)
 		}
 
 		want := runTyped(ref, prog.Info)
@@ -279,21 +285,22 @@ func TestTypedOpsMatchInterp(t *testing.T) {
 			}
 		}
 	}
-	for _, m := range []string{"i", "f", "if", "fi"} {
-		if !marks[m] {
-			t.Errorf("no operation of class %q occurred", m)
+	want := []string{"w.widen", "w.trunc"}
+	for _, mark := range []string{"i", "f"} {
+		for _, op := range typedBinOps {
+			want = append(want, wordOpName("w.", op, mark))
+			switch op {
+			case "BIGGER", "SMALLR", "BOTH SAEM", "DIFFRINT":
+				want = append(want, wordOpName("w.jump.", op, mark))
+			}
+		}
+		for _, op := range typedUnOps {
+			want = append(want, wordOpName("w.", strings.TrimSuffix(op, " OF"), mark))
 		}
 	}
-	for _, s := range []string{
-		"binary", "unary",
-		"fuse.const.binary", "fuse.slot.binary", "fuse.slot.const.binary", "fuse.slot.slot.binary",
-		"fuse.binary.store.slot", "fuse.binary.store.slot.cast",
-		"fuse.slot.const.cmp.jump", "fuse.slot.slot.cmp.jump",
-		"fuse.slot.const.binary.store", "fuse.slot.const.binary.store.cast",
-		"fuse.slot.slot.binary.store", "fuse.slot.slot.binary.store.cast",
-	} {
-		if !shapes[s] {
-			t.Errorf("no typed %s occurred", s)
+	for _, op := range want {
+		if !seen[op] {
+			t.Errorf("no %s occurred", op)
 		}
 	}
 }

@@ -1,29 +1,48 @@
-// Package vm is the bytecode execution backend: a compact stack VM with
+// Package vm is the bytecode execution backend: a compact VM with
 // sema-resolved variable slots, sitting between the tree-walking
 // interpreter and the closure compiler in the classic design space the
 // paper's compiler-vs-interpreter argument spans. The bytecode compiler
-// resolves symbols, operator dispatch and jump targets once; a peephole
-// pass (fuse.go) then collapses the hot compiler-emitted shapes — loop
-// heads, read-modify-write statements, increment-jump back-edges — into
-// fused superinstructions, each carrying the step weight of the sequence
-// it replaced so budget metering is unchanged. The VM runs one
-// instruction loop per PE over the shmem SPMD runtime with the frame's
-// code, constants, slots and instruction pointer cached in locals.
+// resolves symbols, operator dispatch and jump targets once. The VM runs
+// one instruction loop per PE over the shmem SPMD runtime with the
+// frame's code, constants, slots, words and instruction pointer cached in
+// locals.
 //
-// Numeric operations are typed from sema's static-kind facts
-// (Symbol.Rep and Info.StaticKind, which compile and gogen read too):
-// the compiler stamps each arithmetic or comparison op and math unary
-// whose operand kinds sema knows with an operand class (NUMBR × NUMBR,
-// or float with the NUMBR operands widened), and fusion
-// carries the class into the superinstruction. A classed op reads its
-// operands' raw payloads with no kind dispatch; an unclassed one
-// dispatches on the runtime kinds into the same typed bodies. Operands
-// and results are passed by pointer into the value stack, the slot array
-// and the constant pool, so the 48-byte values are not copied through
-// the helpers, and each result is written in place. A classed op
-// replaces exactly one generic op, so step counts are unchanged.
-// Disassemble (or `lolrun -dump-bytecode`) renders the fused form with
-// each op's class.
+// Code whose kinds sema knows (Symbol.Rep and Info.StaticKind, which
+// compile and gogen read too) runs on raw words. Each frame has a word
+// file ([]uint64) beside its value slots. A private or loop counter whose
+// Rep is RepInt or RepFloat is a word symbol: it lives in the word at its
+// slot index, as int64 or float64 bits. Its value slot holds no value; a
+// body that uses SRS marks it when the declaration runs (see wordDecl).
+// Typed constants and temporaries take the words past NSlots; each chunk
+// carries a template holding the constants' bits, which every new frame
+// copies. Every expression with a static kind compiles to three-address
+// word ops (w[A] = w[B] op w[C]), one opcode per operator and kind, with
+// the NUMBR operand of a mixed pair widened first, as value.Binary
+// widens. A loop head comparing two typed operands is one typed
+// compare-and-branch, and a word counter counts with one
+// increment-and-jump.
+//
+// At the boundaries, a dynamic consumer (VISIBLE, a YARN, an element or
+// heap store, a call argument, IT) gets a typed result boxed by one op,
+// and a dynamic value stored into a word symbol is unboxed: cast for a
+// SRSLY target, with OpStoreSlotCast's error text, and checked against
+// the kind sema promised otherwise, so a broken promise is an internal
+// error rather than a read of the wrong payload. SRS and :{var} read and
+// write word symbols through their words.
+//
+// Dynamic code runs on a value stack. A peephole pass (fuse.go) collapses
+// its hot shapes — loop heads, read-modify-write statements,
+// increment-jump back-edges — into fused superinstructions, and a
+// dynamic op whose operands turn out numeric at run time still takes the
+// typed bodies.
+//
+// Metering does not depend on the lowering. Each instruction carries its
+// step weight W: the number of instructions a plain stack compilation of
+// the AST nodes it covers would execute. A word op covers one operator
+// plus the loads of the variable and constant operands it reads; a fused
+// op weighs the sum of its parts. So a step budget buys the same steps
+// under every lowering, and Disassemble (or `lolrun -dump-bytecode`)
+// prints each weight above 1.
 package vm
 
 import (
@@ -133,13 +152,21 @@ func rerrf(pos token.Pos, format string, args ...any) error {
 }
 
 // frame is one activation record: the chunk being executed, its slot
-// array, and the stack/predication watermarks to restore on return.
+// array and word file, and the stack/predication watermarks to restore
+// on return.
 type frame struct {
 	chunk     *Chunk
 	ip        int
 	slots     []value.Value
+	words     []uint64
 	stackBase int
 	predBase  int
+}
+
+// newFrame makes c's activation record, its words copied from the
+// chunk's template.
+func newFrame(c *Chunk) frame {
+	return frame{chunk: c, slots: make([]value.Value, c.NSlots), words: append([]uint64(nil), c.Words...)}
 }
 
 // runner is one PE's virtual machine.
@@ -154,10 +181,9 @@ type runner struct {
 	frames []frame
 	pred   []int // TXT MAH BFF predication stack of target PE ids
 
-	// meter enforces the run's deadline and step budget; one VM step is
-	// one pre-fusion instruction: plain instructions meter 1, fused
-	// superinstructions meter the static weight of the sequence they
-	// replaced, so fusion never changes how many steps a budget buys.
+	// meter enforces the run's deadline and step budget; each
+	// instruction meters its weight W (see the package doc), so neither
+	// word code nor fusion changes how many steps a budget buys.
 	meter backend.Meter
 
 	// yieldEvery > 0 marks a scheduled runner: run() is a resumable step
@@ -226,12 +252,9 @@ func (r *runner) target(in *Instr) (pe int, remote bool, err error) {
 // run executes the main chunk to completion.
 //
 // The inner loop keeps the dispatch state — code, constant pool, slot
-// array and instruction pointer — in locals rather than reaching through
-// the frame on every instruction; the frame is synchronized only at call
-// and return boundaries. Combined with the fused superinstructions (which
-// read their operands straight from immediates instead of the value
-// stack) this is what closes most of the gap to the closure compiler on
-// arithmetic-heavy loops.
+// array, word file and instruction pointer — in locals rather than
+// reaching through the frame on every instruction; the frame is
+// synchronized only at call and return boundaries.
 // Under the worker scheduler run doubles as the PE's resumable step
 // function: the first call lazily pushes the main frame, a suspension
 // syncs fr.ip and returns the *Suspend unwrapped, and the next call
@@ -239,15 +262,13 @@ func (r *runner) target(in *Instr) (pe int, remote bool, err error) {
 // suspended instruction, which consumes the wakeup (see shmem.Suspend).
 func (r *runner) run() error {
 	if r.frames == nil {
-		r.frames = append(r.frames, frame{
-			chunk: r.prog.Main,
-			slots: make([]value.Value, r.prog.Main.NSlots),
-		})
+		r.frames = append(r.frames, newFrame(r.prog.Main))
 	}
 	fr := &r.frames[len(r.frames)-1]
 	code := fr.chunk.Code
 	consts := fr.chunk.Consts
 	slots := fr.slots
+	words := fr.words
 	ip := fr.ip
 	for {
 		if r.yieldEvery > 0 {
@@ -259,7 +280,7 @@ func (r *runner) run() error {
 		}
 		in := &code[ip]
 		ip++
-		if err := r.meter.StepN(opWeights[in.Op]); err != nil {
+		if err := r.meter.StepN(int64(in.W)); err != nil {
 			return rerr(in.Pos, err)
 		}
 		switch in.Op {
@@ -282,7 +303,7 @@ func (r *runner) run() error {
 		case OpBinary:
 			t := len(r.stack) - 2
 			x, y := &r.stack[t], &r.stack[t+1]
-			if err := binInto(x, value.BinOp(in.A), in.Class, x, y); err != nil {
+			if err := binInto(x, value.BinOp(in.A), x, y); err != nil {
 				return rerr(in.Pos, err)
 			}
 			r.stack = r.stack[:t+1]
@@ -297,33 +318,179 @@ func (r *runner) run() error {
 				ip = in.A
 			}
 
+		case OpWSumI:
+			words[in.A] = words[in.B] + words[in.C]
+		case OpWDiffI:
+			words[in.A] = words[in.B] - words[in.C]
+		case OpWProduktI:
+			words[in.A] = words[in.B] * words[in.C]
+		case OpWBiggerI:
+			*r.pushSlot() = value.NewTroof(int64(words[in.B]) > int64(words[in.C]))
+		case OpWSmallrI:
+			*r.pushSlot() = value.NewTroof(int64(words[in.B]) < int64(words[in.C]))
+		case OpWBothSaemI:
+			*r.pushSlot() = value.NewTroof(words[in.B] == words[in.C])
+		case OpWDiffrintI:
+			*r.pushSlot() = value.NewTroof(words[in.B] != words[in.C])
+		case OpWSumF:
+			words[in.A] = fw(wf(words[in.B]) + wf(words[in.C]))
+		case OpWDiffF:
+			words[in.A] = fw(wf(words[in.B]) - wf(words[in.C]))
+		case OpWProduktF:
+			words[in.A] = fw(wf(words[in.B]) * wf(words[in.C]))
+		case OpWBiggerF:
+			*r.pushSlot() = value.NewTroof(wf(words[in.B]) > wf(words[in.C]))
+		case OpWSmallrF:
+			*r.pushSlot() = value.NewTroof(wf(words[in.B]) < wf(words[in.C]))
+		case OpWBothSaemF:
+			*r.pushSlot() = value.NewTroof(wf(words[in.B]) == wf(words[in.C]))
+		case OpWDiffrintF:
+			*r.pushSlot() = value.NewTroof(wf(words[in.B]) != wf(words[in.C]))
+		case OpWQuoshuntI, OpWModI, OpWBiggrOfI, OpWSmallrOfI,
+			OpWQuoshuntF, OpWModF, OpWBiggrOfF, OpWSmallrOfF:
+			u, err := wordBin(in.Op, words[in.B], words[in.C])
+			if err != nil {
+				return rerr(in.Pos, err)
+			}
+			words[in.A] = u
+
+		case OpWJumpBiggerI:
+			if (int64(words[in.B]) > int64(words[in.C])) == (in.A != 0) {
+				ip = in.D
+			}
+		case OpWJumpSmallrI:
+			if (int64(words[in.B]) < int64(words[in.C])) == (in.A != 0) {
+				ip = in.D
+			}
+		case OpWJumpBothSaemI:
+			if (words[in.B] == words[in.C]) == (in.A != 0) {
+				ip = in.D
+			}
+		case OpWJumpDiffrintI:
+			if (words[in.B] != words[in.C]) == (in.A != 0) {
+				ip = in.D
+			}
+		case OpWJumpBiggerF:
+			if (wf(words[in.B]) > wf(words[in.C])) == (in.A != 0) {
+				ip = in.D
+			}
+		case OpWJumpSmallrF:
+			if (wf(words[in.B]) < wf(words[in.C])) == (in.A != 0) {
+				ip = in.D
+			}
+		case OpWJumpBothSaemF:
+			if (wf(words[in.B]) == wf(words[in.C])) == (in.A != 0) {
+				ip = in.D
+			}
+		case OpWJumpDiffrintF:
+			if (wf(words[in.B]) != wf(words[in.C])) == (in.A != 0) {
+				ip = in.D
+			}
+
+		case OpWSquarI:
+			words[in.A] = words[in.B] * words[in.B]
+		case OpWSquarF:
+			f := wf(words[in.B])
+			words[in.A] = fw(f * f)
+		case OpWUnsquarI, OpWUnsquarF, OpWFlipI, OpWFlipF:
+			f := wf(words[in.B])
+			if in.Op == OpWUnsquarI || in.Op == OpWFlipI {
+				f = float64(int64(words[in.B]))
+			}
+			var err error
+			if in.Op <= OpWUnsquarF {
+				f, err = value.RawUnsquar(f)
+			} else {
+				f, err = value.RawFlip(f)
+			}
+			if err != nil {
+				return rerr(in.Pos, err)
+			}
+			words[in.A] = fw(f)
+		case OpWMove:
+			words[in.A] = words[in.B]
+		case OpWWiden:
+			words[in.A] = fw(float64(int64(words[in.B])))
+		case OpWTrunc:
+			words[in.A] = uint64(int64(wf(words[in.B])))
+		case OpWIncJump:
+			words[in.A] += uint64(in.B)
+			ip = in.D
+		case OpWBoxI:
+			*r.pushSlot() = value.NewNumbr(int64(words[in.A]))
+		case OpWBoxF:
+			*r.pushSlot() = value.NewNumbar(wf(words[in.A]))
+
+		case OpWElemSlotI, OpWElemSlotF:
+			av := &slots[in.C]
+			if av.Kind() != value.ArrayK {
+				return rerrf(in.Pos, "%s is not an array", in.S)
+			}
+			arr, i := av.Array(), int64(words[in.B])
+			if i < 0 || i >= int64(arr.Len()) {
+				return rerr(in.Pos, &value.IndexError{Index: int(i), Len: arr.Len()})
+			}
+			if in.Op == OpWElemSlotI {
+				words[in.A] = uint64(arr.Numbrs()[i])
+			} else {
+				words[in.A] = fw(arr.Numbars()[i])
+			}
+		case OpWElemHeapI, OpWElemHeapF:
+			u, err := r.elemWord(in, int(int64(words[in.B])))
+			if err != nil {
+				return err
+			}
+			words[in.A] = u
+		case OpWLoadHeapI, OpWLoadHeapF:
+			v, err := r.getScalar(in.B, in.C, in.Pos)
+			if err != nil {
+				return err
+			}
+			k := value.Numbr
+			if in.Op == OpWLoadHeapF {
+				k = value.Numbar
+			}
+			u, err := heapWord(v, k)
+			if err != nil {
+				return rerr(in.Pos, err)
+			}
+			words[in.A] = u
+		case OpWMe:
+			words[in.A] = uint64(r.pe.ID())
+		case OpWMahFrenz:
+			words[in.A] = uint64(r.pe.NPEs())
+		case OpWWhatevr:
+			words[in.A] = uint64(r.pe.Rand().Int63n(1 << 31))
+		case OpWWhatevar:
+			words[in.A] = fw(r.pe.Rand().Float64())
+
 		case OpFusedConstBinary:
 			t := &r.stack[len(r.stack)-1]
-			if err := binInto(t, value.BinOp(in.B), in.Class, t, &consts[in.A]); err != nil {
+			if err := binInto(t, value.BinOp(in.B), t, &consts[in.A]); err != nil {
 				return rerr(in.Pos, err)
 			}
 		case OpFusedSlotBinary:
 			t := &r.stack[len(r.stack)-1]
-			if err := binInto(t, value.BinOp(in.B), in.Class, t, &slots[in.A]); err != nil {
+			if err := binInto(t, value.BinOp(in.B), t, &slots[in.A]); err != nil {
 				return rerr(in.Pos, err)
 			}
 		case OpFusedSlotConstBinary:
-			if err := binInto(r.pushSlot(), value.BinOp(in.B), in.Class, &slots[in.A], &consts[in.C]); err != nil {
+			if err := binInto(r.pushSlot(), value.BinOp(in.B), &slots[in.A], &consts[in.C]); err != nil {
 				return rerr(in.Pos, err)
 			}
 		case OpFusedSlotSlotBinary:
-			if err := binInto(r.pushSlot(), value.BinOp(in.B), in.Class, &slots[in.A], &slots[in.C]); err != nil {
+			if err := binInto(r.pushSlot(), value.BinOp(in.B), &slots[in.A], &slots[in.C]); err != nil {
 				return rerr(in.Pos, err)
 			}
 		case OpFusedBinaryStoreSlot:
 			t := len(r.stack) - 2
-			if err := binInto(&slots[in.A], value.BinOp(in.B), in.Class, &r.stack[t], &r.stack[t+1]); err != nil {
+			if err := binInto(&slots[in.A], value.BinOp(in.B), &r.stack[t], &r.stack[t+1]); err != nil {
 				return rerr(in.Pos, err)
 			}
 			r.stack = r.stack[:t]
 		case OpFusedBinaryStoreSlotCast:
 			t := len(r.stack) - 2
-			if err := binCast(&slots[in.A], value.BinOp(in.B), in.Class, &r.stack[t], &r.stack[t+1], value.Kind(in.C), in.S); err != nil {
+			if err := binCast(&slots[in.A], value.BinOp(in.B), &r.stack[t], &r.stack[t+1], value.Kind(in.C), in.S); err != nil {
 				return rerr(in.Pos, err)
 			}
 			r.stack = r.stack[:t]
@@ -332,7 +499,7 @@ func (r *runner) run() error {
 				ip = in.D
 			}
 		case OpFusedSlotConstCmpJump:
-			res, err := truthBin(value.BinOp(in.B&fuseOpMask), in.Class, &slots[in.A], &consts[in.C])
+			res, err := truthBin(value.BinOp(in.B&fuseOpMask), &slots[in.A], &consts[in.C])
 			if err != nil {
 				return rerr(in.Pos, err)
 			}
@@ -340,7 +507,7 @@ func (r *runner) run() error {
 				ip = in.D
 			}
 		case OpFusedSlotSlotCmpJump:
-			res, err := truthBin(value.BinOp(in.B&fuseOpMask), in.Class, &slots[in.A], &slots[in.C])
+			res, err := truthBin(value.BinOp(in.B&fuseOpMask), &slots[in.A], &slots[in.C])
 			if err != nil {
 				return rerr(in.Pos, err)
 			}
@@ -348,19 +515,19 @@ func (r *runner) run() error {
 				ip = in.D
 			}
 		case OpFusedSlotConstBinaryStore:
-			if err := binInto(&slots[in.D], value.BinOp(in.B), in.Class, &slots[in.A], &consts[in.C]); err != nil {
+			if err := binInto(&slots[in.D], value.BinOp(in.B), &slots[in.A], &consts[in.C]); err != nil {
 				return rerr(in.Pos, err)
 			}
 		case OpFusedSlotConstBinaryStoreCast:
-			if err := binCast(&slots[in.D], value.BinOp(in.B&fuseOpMask), in.Class, &slots[in.A], &consts[in.C], value.Kind(in.B>>fuseKindShift), in.S); err != nil {
+			if err := binCast(&slots[in.D], value.BinOp(in.B&fuseOpMask), &slots[in.A], &consts[in.C], value.Kind(in.B>>fuseKindShift), in.S); err != nil {
 				return rerr(in.Pos, err)
 			}
 		case OpFusedSlotSlotBinaryStore:
-			if err := binInto(&slots[in.D], value.BinOp(in.B), in.Class, &slots[in.A], &slots[in.C]); err != nil {
+			if err := binInto(&slots[in.D], value.BinOp(in.B), &slots[in.A], &slots[in.C]); err != nil {
 				return rerr(in.Pos, err)
 			}
 		case OpFusedSlotSlotBinaryStoreCast:
-			if err := binCast(&slots[in.D], value.BinOp(in.B&fuseOpMask), in.Class, &slots[in.A], &slots[in.C], value.Kind(in.B>>fuseKindShift), in.S); err != nil {
+			if err := binCast(&slots[in.D], value.BinOp(in.B&fuseOpMask), &slots[in.A], &slots[in.C], value.Kind(in.B>>fuseKindShift), in.S); err != nil {
 				return rerr(in.Pos, err)
 			}
 		case OpFusedIncSlotJump:
@@ -381,6 +548,31 @@ func (r *runner) run() error {
 				return rerr(in.Pos, fmt.Errorf("assigning to SRSLY %s %s: %w", value.Kind(in.B), in.S, err))
 			}
 			slots[in.A] = cv
+		case OpWIndex:
+			i, err := r.popInt(in.Pos)
+			if err != nil {
+				return err
+			}
+			words[in.A] = uint64(i)
+		case OpWCast:
+			u, err := castWord(r.pop(), value.Kind(in.B))
+			if err != nil {
+				return rerr(in.Pos, err)
+			}
+			words[in.A] = u
+		case OpWStoreCast:
+			k := value.Kind(in.B)
+			u, err := castWord(r.pop(), k)
+			if err != nil {
+				return rerr(in.Pos, fmt.Errorf("assigning to SRSLY %s %s: %w", k, in.S, err))
+			}
+			words[in.A] = u
+		case OpWUnbox:
+			u, err := unbox(r.pop(), value.Kind(in.B), in.S)
+			if err != nil {
+				return rerr(in.Pos, err)
+			}
+			words[in.A] = u
 		case OpStoreSlotArr:
 			v := r.pop()
 			if cur := slots[in.A]; v.Kind() == value.ArrayK && cur.Kind() == value.ArrayK {
@@ -393,22 +585,9 @@ func (r *runner) run() error {
 			}
 
 		case OpLoadHeap:
-			var v value.Value
-			var err error
-			if in.B&flagRemote != 0 {
-				t, terr := r.predTarget(in.Pos)
-				if terr != nil {
-					return terr
-				}
-				v, err = r.pe.Get(t, in.A)
-			} else {
-				v, err = r.pe.LocalGet(in.A)
-			}
-			if err == nil && in.Class != 0 {
-				v, err = convert(v, in.Class)
-			}
+			v, err := r.getScalar(in.A, in.B, in.Pos)
 			if err != nil {
-				return rerr(in.Pos, err)
+				return err
 			}
 			r.push(v)
 		case OpLoadHeapArr:
@@ -531,7 +710,7 @@ func (r *runner) run() error {
 
 		case OpUnary:
 			t := &r.stack[len(r.stack)-1]
-			if err := unInto(t, value.UnOp(in.A), in.Class, t); err != nil {
+			if err := unInto(t, value.UnOp(in.A), t); err != nil {
 				return rerr(in.Pos, err)
 			}
 		case OpCast:
@@ -597,7 +776,7 @@ func (r *runner) run() error {
 					// Park: rewind to this instruction and refund its
 					// charge; the resumed step re-executes it (re-charging)
 					// and the re-entered Barrier consumes the wakeup.
-					r.meter.Refund(opWeights[in.Op])
+					r.meter.Refund(int64(in.W))
 					fr.ip = ip - 1
 					return err
 				}
@@ -606,7 +785,7 @@ func (r *runner) run() error {
 		case OpLockAcquire:
 			if err := r.pe.SetLock(in.A); err != nil {
 				if shmem.AsSuspend(err) != nil {
-					r.meter.Refund(opWeights[in.Op])
+					r.meter.Refund(int64(in.W))
 					fr.ip = ip - 1
 					return err
 				}
@@ -668,28 +847,23 @@ func (r *runner) run() error {
 			if len(r.frames) > maxCallDepth {
 				return rerrf(in.Pos, "I IZ %s: call depth exceeds %d (runaway recursion?)", in.S, maxCallDepth)
 			}
-			cf := r.prog.Funcs[in.A]
-			fslots := make([]value.Value, cf.NSlots)
+			nf := newFrame(r.prog.Funcs[in.A])
 			// Slot 0 is IT; parameters follow in declaration order.
-			copy(fslots[1:1+in.B], r.stack[len(r.stack)-in.B:])
+			copy(nf.slots[1:1+in.B], r.stack[len(r.stack)-in.B:])
 			r.stack = r.stack[:len(r.stack)-in.B]
+			nf.stackBase, nf.predBase = len(r.stack), len(r.pred)
 			// Sync the caller's ip before append may move the frame array.
 			fr.ip = ip
-			r.frames = append(r.frames, frame{
-				chunk:     cf,
-				slots:     fslots,
-				stackBase: len(r.stack),
-				predBase:  len(r.pred),
-			})
+			r.frames = append(r.frames, nf)
 			fr = &r.frames[len(r.frames)-1]
-			code, consts, slots, ip = fr.chunk.Code, fr.chunk.Consts, fr.slots, 0
+			code, consts, slots, words, ip = fr.chunk.Code, fr.chunk.Consts, fr.slots, fr.words, 0
 		case OpReturn:
 			v := r.pop()
 			fr = r.unwind(v)
-			code, consts, slots, ip = fr.chunk.Code, fr.chunk.Consts, fr.slots, fr.ip
+			code, consts, slots, words, ip = fr.chunk.Code, fr.chunk.Consts, fr.slots, fr.words, fr.ip
 		case OpReturnIT:
 			fr = r.unwind(slots[0])
-			code, consts, slots, ip = fr.chunk.Code, fr.chunk.Consts, fr.slots, fr.ip
+			code, consts, slots, words, ip = fr.chunk.Code, fr.chunk.Consts, fr.slots, fr.words, fr.ip
 
 		case OpHalt:
 			return nil
@@ -709,6 +883,52 @@ func (r *runner) unwind(ret value.Value) *frame {
 	r.pred = r.pred[:top.predBase]
 	r.push(ret)
 	return &r.frames[len(r.frames)-1]
+}
+
+// getScalar reads shared scalar heap[heap] of the local PE, or of the
+// predication target when flags has flagRemote.
+func (r *runner) getScalar(heap, flags int, pos token.Pos) (value.Value, error) {
+	if flags&flagRemote == 0 {
+		v, err := r.pe.LocalGet(heap)
+		return v, rerr(pos, err)
+	}
+	t, err := r.predTarget(pos)
+	if err != nil {
+		return value.NOOB, err
+	}
+	v, err := r.pe.Get(t, heap)
+	return v, rerr(pos, err)
+}
+
+// elemWord reads element i of shared array heap[in.C] of the target PE
+// through shmem's typed one-sided gets.
+func (r *runner) elemWord(in *Instr, i int) (uint64, error) {
+	var u uint64
+	var err error
+	if in.D&flagRemote != 0 {
+		t, terr := r.predTarget(in.Pos)
+		if terr != nil {
+			return 0, terr
+		}
+		if in.Op == OpWElemHeapI {
+			var n int64
+			n, err = r.pe.GetNumbr(t, in.C, i)
+			u = uint64(n)
+		} else {
+			var f float64
+			f, err = r.pe.GetNumbar(t, in.C, i)
+			u = fw(f)
+		}
+	} else if in.Op == OpWElemHeapI {
+		var n int64
+		n, err = r.pe.LocalGetNumbr(in.C, i)
+		u = uint64(n)
+	} else {
+		var f float64
+		f, err = r.pe.LocalGetNumbar(in.C, i)
+		u = fw(f)
+	}
+	return u, rerr(in.Pos, err)
 }
 
 // popSize pops an array size, rejecting negatives.
@@ -740,30 +960,30 @@ func (r *runner) srsResolve(fr *frame, in *Instr) (*sema.Symbol, error) {
 // readSym reads a runtime-resolved symbol (SRS), mirroring the
 // interpreter's readVar.
 func (r *runner) readSym(fr *frame, sym *sema.Symbol, sp ast.Space, pos token.Pos) (value.Value, error) {
+	if isWord(sym) {
+		if fr.slots[sym.Slot].Kind() == value.Noob {
+			return value.NOOB, nil // not declared yet (see wordDecl)
+		}
+		return wordValue(fr.words[sym.Slot], repKind(sym)), nil
+	}
 	if sym.Kind != sema.SymShared {
 		return fr.slots[sym.Slot], nil
 	}
-	t, remote := r.pe.ID(), false
+	if !sym.IsArray {
+		return r.getScalar(sym.Heap, remoteFlag(sp), pos)
+	}
+	t := r.pe.ID()
 	if sp == ast.SpaceUr {
 		var err error
 		if t, err = r.predTarget(pos); err != nil {
 			return value.NOOB, err
 		}
-		remote = true
 	}
-	if sym.IsArray {
-		arr, err := r.pe.GetArray(t, sym.Heap)
-		if err != nil {
-			return value.NOOB, rerr(pos, err)
-		}
-		return value.NewArray(arr), nil
+	arr, err := r.pe.GetArray(t, sym.Heap)
+	if err != nil {
+		return value.NOOB, rerr(pos, err)
 	}
-	if !remote {
-		v, err := r.pe.LocalGet(sym.Heap)
-		return v, rerr(pos, err)
-	}
-	v, err := r.pe.Get(t, sym.Heap)
-	return v, rerr(pos, err)
+	return value.NewArray(arr), nil
 }
 
 // writeSym writes a runtime-resolved symbol (SRS), mirroring the
@@ -775,6 +995,15 @@ func (r *runner) writeSym(fr *frame, sym *sema.Symbol, sp ast.Space, pos token.P
 			return rerr(pos, fmt.Errorf("assigning to SRSLY %s %s: %w", sym.Type, sym.Name, err))
 		}
 		v = cv
+	}
+	if isWord(sym) {
+		u, err := unbox(v, repKind(sym), sym.Name)
+		if err != nil {
+			return rerr(pos, err)
+		}
+		fr.words[sym.Slot] = u
+		fr.slots[sym.Slot] = value.NewTroof(true) // now readable (see wordDecl)
+		return nil
 	}
 	if sym.Kind != sema.SymShared {
 		if sym.IsArray && v.Kind() == value.ArrayK {

@@ -1,12 +1,15 @@
 package vm
 
 import (
+	"errors"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/backend"
 	"repro/internal/parser"
 	"repro/internal/sema"
+	"repro/internal/value"
 )
 
 func compileSrc(t *testing.T, src string) *Program {
@@ -196,19 +199,79 @@ KTHXBYE`, 1)
 	}
 }
 
-// TestConstPoolInterned checks constants are deduplicated per chunk.
+// TestConstPoolInterned checks constants are deduplicated per chunk: a
+// typed constant once in the word template, a dynamic one once in the
+// value pool.
 func TestConstPoolInterned(t *testing.T) {
 	p := compileSrc(t, `HAI 1.2
 VISIBLE SUM OF 5 AN SUM OF 5 AN SUM OF 5 AN 5
+VISIBLE 5 " " 5
 KTHXBYE`)
+	words := 0
+	for i, k := range p.Main.wkind {
+		if k == value.Numbr && int64(p.Main.Words[i]) == 5 {
+			words++
+		}
+	}
+	if words != 1 {
+		t.Errorf("constant 5 interned %d times in the word template, want 1", words)
+	}
+	if len(p.Main.Words) != p.Main.NWords {
+		t.Errorf("template holds %d words, NWords is %d", len(p.Main.Words), p.Main.NWords)
+	}
 	fives := 0
 	for _, c := range p.Main.Consts {
-		if c.Kind().String() == "NUMBR" && c.Numbr() == 5 {
+		if c.Kind() == value.Numbr && c.Numbr() == 5 {
 			fives++
 		}
 	}
 	if fives != 1 {
-		t.Errorf("constant 5 interned %d times, want 1", fives)
+		t.Errorf("constant 5 interned %d times in the value pool, want 1", fives)
+	}
+}
+
+// TestInstrSize pins Instr at 88 bytes: W lives in the padding after Op.
+func TestInstrSize(t *testing.T) {
+	if n := unsafe.Sizeof(Instr{}); n != 88 {
+		t.Errorf("Instr is %d bytes, want 88", n)
+	}
+}
+
+// TestWeightNeverWraps checks that a long chain of identity MAEKs, whose
+// casts all fold onto the op that reads the chain, still meters one step
+// per cast: the program completes under a budget of exactly its stack
+// instruction count and is killed one step below it.
+func TestWeightNeverWraps(t *testing.T) {
+	const casts = 70_000 // past uint16
+	src := "HAI 1.2\nI HAS A x ITZ 1\nVISIBLE " + strings.Repeat("MAEK ", casts) + "x" + strings.Repeat(" A NUMBR", casts) + "\nKTHXBYE\n"
+	p := compileSrc(t, src)
+	// const and store for the Decl; the load, the casts and VISIBLE; halt.
+	steps := int64(2 + 1 + casts + 1 + 1)
+	run := func(budget int64) error {
+		var out strings.Builder
+		_, err := p.Run(backend.Config{NP: 1, Stdout: &out, StepBudget: budget})
+		return err
+	}
+	if err := run(steps); err != nil {
+		t.Errorf("budget %d: %v", steps, err)
+	}
+	if err := run(steps - 1); !errors.Is(err, backend.ErrStepBudget) {
+		t.Errorf("budget %d: error = %v, want ErrStepBudget", steps-1, err)
+	}
+}
+
+// TestSrsReadsWordSymbols reads and writes word symbols through SRS.
+func TestSrsReadsWordSymbols(t *testing.T) {
+	got := runSrc(t, `HAI 1.2
+I HAS A n ITZ 4
+I HAS A f ITZ SRSLY A NUMBAR AN ITZ 1.5
+n R SUM OF n AN 1
+VISIBLE SRS "n" " " SRS "f"
+SRS "f" R 7
+VISIBLE f " " SUM OF f AN n
+KTHXBYE`, 1)
+	if want := "5 1.50\n7.00 12.00\n"; got != want {
+		t.Errorf("output = %q, want %q", got, want)
 	}
 }
 
