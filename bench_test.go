@@ -19,7 +19,6 @@ import (
 	"os"
 	"testing"
 
-	"repro/internal/backend"
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -31,7 +30,6 @@ import (
 	"repro/internal/sema"
 	"repro/internal/shmem"
 	"repro/internal/value"
-	"repro/internal/vm"
 )
 
 func mustReadNBody(b *testing.B) string {
@@ -479,49 +477,5 @@ func BenchmarkE1_SpecializationAblation(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// --- VM ablation: what do fused superinstructions buy? ------------------------
-
-func BenchmarkVM_FusionAblation(b *testing.B) {
-	for _, k := range []struct {
-		name string
-		src  string
-		np   int
-	}{
-		{"montecarlo", experiments.GenMonteCarlo(2_000, 2), 2},
-		{"nbody", experiments.GenNBody(8, 2), 2},
-	} {
-		tree, err := parser.Parse("ablation.lol", k.src)
-		if err != nil {
-			b.Fatal(err)
-		}
-		info, err := sema.Check(tree)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, cfg := range []struct {
-			name string
-			opts vm.Options
-		}{
-			{"fused", vm.Options{}},
-			{"unfused", vm.Options{DisableFusion: true}},
-		} {
-			cfg := cfg
-			b.Run(k.name+"/"+cfg.name, func(b *testing.B) {
-				p, err := vm.CompileOpts(info, cfg.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := p.Run(backend.Config{NP: k.np, Seed: 7, Stdout: io.Discard}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }

@@ -178,8 +178,8 @@ func writeBenchServe(dir string, m *experiments.ServeMetrics) error {
 }
 
 // benchBackendRow is the machine-readable form of one E1 comparison row.
-// vm_over_compile_ratio is the gap the bytecode tier's superinstruction
-// fusion drives down; CI compares it against the committed baseline in
+// vm_over_compile_ratio is the gap the bytecode tier's word ops drive
+// down; CI compares it against the committed baseline in
 // BENCH_backend.json and warns (never fails) on a >15% regression.
 type benchBackendRow struct {
 	Workload      string  `json:"workload"`

@@ -11,9 +11,8 @@
 // the operation counters and per-PE simulated time after the run.
 // -timeout bounds the run's wall clock and -max-steps bounds each PE's
 // step count, the same budgets cmd/lolserv enforces on every job.
-// -dump-bytecode prints the vm backend's bytecode listing (after
-// superinstruction fusion, with per-instruction step weights) and exits
-// without running the program.
+// -dump-bytecode prints the vm backend's bytecode listing (with
+// per-instruction step weights) and exits without running the program.
 //
 // Exit codes: 0 on success, 1 when the program fails to parse, dies at
 // runtime, or exceeds a budget; 2 on usage errors.
@@ -52,7 +51,7 @@ func run(args []string) int {
 	traceFlag := fs.Bool("trace", false, "record runtime events and draw the data movement per barrier phase")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the run (0 = unlimited)")
 	maxSteps := fs.Int64("max-steps", 0, "per-PE step budget (0 = unlimited)")
-	dumpBytecode := fs.Bool("dump-bytecode", false, "print the vm backend's bytecode (after superinstruction fusion) and exit without running")
+	dumpBytecode := fs.Bool("dump-bytecode", false, "print the vm backend's bytecode listing, with step weights, and exit without running")
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: lolrun [flags] code.lol\n")
 		fs.PrintDefaults()

@@ -21,9 +21,9 @@
 //     per-PE step count;
 //   - internal/interp, vm, compile: the three execution engines spanning
 //     the classic design space — a tree-walking interpreter, a
-//     slot-addressed bytecode VM (with a superinstruction fusion pass,
-//     arithmetic typed from sema's static kinds, and weight-preserving
-//     step metering; `lolrun -dump-bytecode` prints the fused listing),
+//     slot-addressed bytecode VM (arithmetic typed from sema's static
+//     kinds runs as word ops, with weight-preserving step metering;
+//     `lolrun -dump-bytecode` prints the listing),
 //     and a closure compiler (select one with
 //     `lolrun -backend=interp|vm|compile`);
 //   - internal/gogen: the LOLCODE-to-Go source emitter (the paper's lcc

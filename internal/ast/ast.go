@@ -476,6 +476,10 @@ type Srs struct {
 	Position token.Pos
 	X        Expr
 	Space    Space
+	// Names is the *sema.SrsNames the name resolves in, attached by
+	// sema.Check: the implicit loop counters visible here, then the
+	// frame's symbols.
+	Names any
 }
 
 func (n *Srs) Pos() token.Pos { return n.Position }

@@ -74,14 +74,15 @@ func (m *Meter) Step() error {
 	return m.syncSlow(1)
 }
 
-// StepN accounts n engine steps at once. The VM uses it for fused
-// superinstructions, which carry the static step weight of the sequence
-// they replaced: a budget of N still permits exactly N pre-fusion steps,
-// because the kill condition (used+n > limit) is identical whether the n
-// steps are attempted one at a time or as a block. The only observable
-// difference is where inside the block the kill is reported — a killed
-// fused instruction reports the whole block unexecuted, where the
-// unfused sequence may have executed a prefix before dying.
+// StepN accounts n engine steps at once. The VM uses it for each
+// instruction, which carries the static step weight of the stack
+// instructions a plain compilation would execute for it: a budget of N
+// still permits exactly N such steps, because the kill condition
+// (used+n > limit) is identical whether the n steps are attempted one at
+// a time or as a block. The only observable difference is where inside
+// the block the kill is reported — a killed instruction reports the
+// whole block unexecuted, where a plain stack compilation may have
+// executed a prefix before dying.
 func (m *Meter) StepN(n int64) error {
 	if m.credit -= n; m.credit > 0 {
 		return nil

@@ -167,10 +167,10 @@ func TestStepBudgetRoomToFinish(t *testing.T) {
 	}
 }
 
-// TestMeterStepNBoundary pins the weighted fencepost the VM's fused
-// superinstructions rely on: StepN(w) must behave exactly like w
-// consecutive Steps, so a budget of N permits exactly N pre-fusion steps
-// regardless of how they are grouped into weighted blocks.
+// TestMeterStepNBoundary pins the weighted fencepost the VM's weighted
+// instructions rely on: StepN(w) must behave exactly like w consecutive
+// Steps, so a budget of N permits exactly N steps regardless of how they
+// are grouped into weighted blocks.
 func TestMeterStepNBoundary(t *testing.T) {
 	for _, limit := range []int64{1, 2, 3, 4, 7, 1023, 1024, 1025, 5000} {
 		for _, w := range []int64{2, 3, 4} {
@@ -183,7 +183,7 @@ func TestMeterStepNBoundary(t *testing.T) {
 				used += w
 			}
 			// The next weighted attempt overdraws (used+w > limit) and must
-			// die, exactly as the w-th unfused Step would.
+			// die, exactly as the w-th single Step would.
 			if err := m.StepN(w); !errors.Is(err, backend.ErrStepBudget) {
 				t.Errorf("limit %d w %d: overdraw error = %v, want ErrStepBudget", limit, w, err)
 			}

@@ -67,7 +67,6 @@ type Program struct {
 
 type compiledFunc struct {
 	decl   *ast.FuncDecl
-	scope  *sema.Scope
 	body   []stmtFn
 	nSlots int
 }
@@ -77,7 +76,6 @@ type env struct {
 	prog  *Program
 	pe    *shmem.PE
 	frame []value.Value
-	scope *sema.Scope // active name table for SRS lookups
 
 	pred      []int
 	retval    value.Value
@@ -137,7 +135,7 @@ func CompileOpts(info *sema.Info, opts Options) (*Program, error) {
 	c := &compiler{prog: p, info: info, noSpec: opts.DisableSpecialization}
 
 	for name, fi := range info.Funcs {
-		cf := &compiledFunc{decl: fi.Decl, scope: fi.Scope, nSlots: len(fi.Scope.Order)}
+		cf := &compiledFunc{decl: fi.Decl, nSlots: len(fi.Scope.Order)}
 		p.funcs[name] = cf
 	}
 	// Compile bodies after headers exist so calls resolve in any order.
@@ -177,7 +175,6 @@ func (p *Program) RunWorld(cfg interp.Config, world *shmem.World) (*interp.Resul
 			prog:  p,
 			pe:    pe,
 			frame: make([]value.Value, len(p.info.Main.Order)),
-			scope: p.info.Main,
 			meter: backend.NewMeter(&cfg),
 			out:   io.Out,
 			errw:  io.Err,

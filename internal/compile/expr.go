@@ -526,7 +526,7 @@ func (c *compiler) srsName(n *ast.Srs) (func(*env) (*sema.Symbol, error), error)
 	if err != nil {
 		return nil, err
 	}
-	pos := n.Position
+	pos, names := n.Position, n.Names.(*sema.SrsNames)
 	return func(e *env) (*sema.Symbol, error) {
 		v, err := x(e)
 		if err != nil {
@@ -536,7 +536,7 @@ func (c *compiler) srsName(n *ast.Srs) (func(*env) (*sema.Symbol, error), error)
 		if err != nil {
 			return nil, rerr(pos, fmt.Errorf("SRS: %w", err))
 		}
-		sym, ok := e.scope.Names[name]
+		sym, ok := names.Lookup(name)
 		if !ok {
 			return nil, rerrf(pos, "SRS %q: no such variable", name)
 		}
@@ -657,9 +657,8 @@ func (c *compiler) call(n *ast.Call) (exprFn, error) {
 			}
 			vals[i] = v
 		}
-		savedFrame, savedScope := e.frame, e.scope
+		savedFrame := e.frame
 		e.frame = make([]value.Value, cf.nSlots)
-		e.scope = cf.scope
 		e.callDepth++
 		for i := range vals {
 			e.frame[i+1] = vals[i] // slot 0 is IT
@@ -676,7 +675,7 @@ func (c *compiler) call(n *ast.Call) (exprFn, error) {
 			ret = e.frame[0]
 		}
 		e.callDepth--
-		e.frame, e.scope = savedFrame, savedScope
+		e.frame = savedFrame
 		return ret, err
 	}, nil
 }

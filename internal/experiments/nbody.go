@@ -121,8 +121,8 @@ func (r BackendsResult) VMSpeedup() float64 {
 
 // VMOverCompile is the VM-to-compiler ratio: how far the bytecode tier
 // trails the closure compiler (1.0 = parity). This is the number the
-// superinstruction/unboxing work drives down, and the one CI tracks
-// against the committed baseline.
+// VM's word ops drive down, and the one CI tracks against the committed
+// baseline.
 func (r BackendsResult) VMOverCompile() float64 {
 	if r.Compile == 0 {
 		return 0

@@ -152,8 +152,8 @@ f R n
 f'Z 0 R 2.5
 VISIBLE n'Z 0
 KTHXBYE`},
-	// The pos_ edges fail inside a shape the VM fuses; the error must
-	// name the operator, as it does unfused.
+	// The pos_ edges fail inside an operation whose operands the VM
+	// reads within one instruction; the error must name the operator.
 	{name: "pos_quoshunt", src: `HAI 1.2
 I HAS A z ITZ 7
 I HAS A y ITZ 0
@@ -221,6 +221,48 @@ I HAS A f ITZ SRSLY A NUMBAR AN ITZ 1.5
 n R SUM OF n AN 1
 VISIBLE SRS "n" " " SRS "f"
 VISIBLE "n=:{n} f=:{f}"
+KTHXBYE`},
+	// SRS reads and writes an implicit counter inside its loop, and no
+	// longer names it once the loop has ended.
+	{name: "srs_counter", src: `HAI 1.2
+IM IN YR l UPPIN YR i TIL BIGGER i AN 4
+  VISIBLE SRS "i"
+  SRS "i" R SUM OF SRS "i" AN 1
+  VISIBLE "i=:{i}"
+IM OUTTA YR l
+VISIBLE SRS "i"
+KTHXBYE`},
+	// A typed comparison an O RLY? tests, or a MEBBE condition, stores
+	// its TROOF in IT: read in every arm and after OIC, in the main frame
+	// and in a function's own, with NUMBR and NUMBAR operands mixed.
+	{name: "it_branch", src: `HAI 1.2
+HOW IZ I pick YR n
+  I HAS A k ITZ SRSLY A NUMBR AN ITZ n
+  I HAS A f ITZ 2.5
+  BIGGER k AN f, O RLY?
+  YA RLY
+    VISIBLE "big " IT
+  MEBBE BOTH SAEM k AN 2
+    VISIBLE "two " IT
+  NO WAI
+    VISIBLE "small " IT
+  OIC
+  FOUND YR IT
+IF U SAY SO
+I HAS A a ITZ 3
+I HAS A b ITZ 1.5
+IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 4
+  SMALLR i AN b, O RLY?
+  YA RLY
+    VISIBLE "lo :{i} " IT
+  MEBBE DIFFRINT i AN a
+    VISIBLE "mid :{i} " IT
+  NO WAI
+    VISIBLE "hi :{i} " IT
+  OIC
+  VISIBLE "after " IT
+  VISIBLE I IZ pick YR i MKAY " " IT
+IM OUTTA YR l
 KTHXBYE`},
 	// A SRSLY NUMBR private read after a recursive call holds its own
 	// frame's value.

@@ -208,8 +208,8 @@ func (ev *evaluator) srsRef(n *ast.Srs) (*ast.VarRef, error) {
 	if err != nil {
 		return nil, rerr(n.Position, fmt.Errorf("SRS: %w", err))
 	}
-	sym := ev.lookup(name)
-	if sym == nil {
+	sym, ok := n.Names.(*sema.SrsNames).Lookup(name)
+	if !ok {
 		return nil, rerrf(n.Position, "SRS %q: no such variable", name)
 	}
 	return &ast.VarRef{Position: n.Position, Name: name, Space: n.Space, Sym: sym}, nil

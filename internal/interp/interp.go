@@ -112,9 +112,6 @@ type evaluator struct {
 	errw  *PEWriter
 	stdin *SharedReader
 
-	// scope tracks the active name table for SRS and :{var} lookups.
-	scope *sema.Scope
-
 	// pred is the TXT MAH BFF predication stack of target PE ids.
 	pred []int
 
@@ -130,13 +127,6 @@ type evaluator struct {
 }
 
 const maxCallDepth = 10_000
-
-func (ev *evaluator) curScope() *sema.Scope {
-	if ev.scope != nil {
-		return ev.scope
-	}
-	return ev.info.Main
-}
 
 // predTarget returns the active predication target.
 func (ev *evaluator) predTarget(pos token.Pos) (int, error) {
@@ -509,9 +499,8 @@ func (ev *evaluator) call(n *ast.Call) (value.Value, error) {
 		args[i] = v
 	}
 
-	savedFrame, savedScope := ev.frame, ev.scope
+	savedFrame := ev.frame
 	ev.frame = newFrame(len(fi.Scope.Order))
-	ev.scope = fi.Scope
 	ev.callDepth++
 	// Slot 0 is IT; parameters follow in declaration order.
 	for i := range args {
@@ -531,12 +520,8 @@ func (ev *evaluator) call(n *ast.Call) (value.Value, error) {
 	}
 
 	ev.callDepth--
-	ev.frame, ev.scope = savedFrame, savedScope
+	ev.frame = savedFrame
 	return ret, err
-}
-
-func (ev *evaluator) lookup(name string) *sema.Symbol {
-	return ev.curScope().Names[name]
 }
 
 func (ev *evaluator) setIT(v value.Value) { ev.frame.slots[0] = v }

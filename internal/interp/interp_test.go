@@ -309,6 +309,22 @@ KTHXBYE`
 	}
 }
 
+// TestSrsNamesLoopCounter checks that SRS reads and writes an implicit
+// loop counter inside its loop, and no longer names it after the loop.
+func TestSrsNamesLoopCounter(t *testing.T) {
+	src := `HAI 1.2
+IM IN YR l UPPIN YR i TIL BIGGER i AN 4
+  VISIBLE SRS "i"
+  SRS "i" R SUM OF SRS "i" AN 1
+IM OUTTA YR l
+VISIBLE SRS "i"
+KTHXBYE`
+	out, err := tryRun(src, 1, "")
+	if out != "0\n2\n4\n" || err == nil || !strings.Contains(err.Error(), `6:9: SRS "i": no such variable`) {
+		t.Errorf("got %q, %v", out, err)
+	}
+}
+
 func TestGimmehReadsLines(t *testing.T) {
 	src := `HAI 1.2
 I HAS A a

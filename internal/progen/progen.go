@@ -141,7 +141,7 @@ func (g *Gen) Stmt(depth int) {
 		g.ind--
 		g.w("IM OUTTA YR %s", label)
 	case 8:
-		// Loop-head shapes the VM's fusion pass targets: a slot-slot
+		// Loop-head shapes the VM lowers to one compare-and-branch: a
 		// compare against a fresh never-reassigned bound variable, or a
 		// WILE comparison head. The counter only grows and the bound is
 		// constant for the loop's lifetime, so both stay total.
@@ -163,8 +163,7 @@ func (g *Gen) Stmt(depth int) {
 		g.ind--
 		g.w("IM OUTTA YR %s", label)
 	case 9:
-		// Array-element arithmetic (read-modify-write of one element),
-		// the OpLoadElemSlot+OpBinary fused shape.
+		// Array-element arithmetic (read-modify-write of one element).
 		idx := g.idxExpr()
 		g.w("arr'Z %s R SUM OF arr'Z %s AN %s", idx, idx, g.NumExpr(1))
 	default:

@@ -47,10 +47,11 @@ func (info *Info) inferFrame(scope *Scope, body []ast.Stmt) {
 			continue
 		}
 		switch {
-		case sym.Kind == SymLoopVar && len(use.assigns) == 0 && !use.killed:
+		case sym.Kind == SymLoopVar && len(use.assigns) == 0 && !use.killed && !u.srs:
 			// Implicit counters are NUMBR by construction; a body that
 			// assigns to one could store any kind, so only never-assigned
-			// counters unbox.
+			// counters unbox. SRS can read and write a counter inside its
+			// loop, so a frame with SRS keeps them boxed.
 			sym.Rep = RepInt
 		case sym.Kind == SymPrivate && sym.Static:
 			sym.Rep = repFor(sym.Type, use.counter)
@@ -121,6 +122,7 @@ func symOf(v *ast.VarRef) *Symbol {
 // its symbols.
 type frameUses struct {
 	syms     []symUse // by slot
+	srs      bool     // the frame has an SRS
 	srsWrite bool     // the frame has an SRS target
 }
 
@@ -183,6 +185,8 @@ func (u *frameUses) visit(n ast.Node) bool {
 	switch x := n.(type) {
 	case *ast.VarRef:
 		u.ref(symOf(x))
+	case *ast.Srs:
+		u.srs = true
 	case *ast.Assign:
 		if use := u.target(x.Target); use != nil {
 			use.assigns = append(use.assigns, x.Value)

@@ -107,7 +107,7 @@ I HAS A name ITZ "n"
 SRS name R "abc"
 IM IN YR l UPPIN YR j TIL BOTH SAEM j AN 3
 IM OUTTA YR l`,
-			map[string]sema.Rep{"IT": B, "n": B, "s": I, "name": B, "j": I,
+			map[string]sema.Rep{"IT": B, "n": B, "s": I, "name": B, "j": B,
 				"f.IT": B, "f.fn": B, "f.fs": F}},
 		{"SRS GIMMEH and IS NOW A", `
 I HAS A n ITZ 3

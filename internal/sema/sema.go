@@ -21,7 +21,8 @@
 //   - SRSLY NUMBR and NUMBAR privates take their declared type, since
 //     every store casts, except a NUMBAR counted by a loop header, which
 //     stores a NUMBR;
-//   - implicit loop counters the body never assigns are RepInt;
+//   - implicit loop counters the body never assigns are RepInt, unless
+//     their frame has an SRS, which can name a counter inside its loop;
 //   - other privates whose declaration yields a NUMBR or NUMBAR and whose
 //     every R stores that same kind, never GIMMEH or IS NOW A targets,
 //     are inferred by an optimistic fixpoint;
@@ -157,6 +158,28 @@ func (s *Scope) declare(sym *Symbol) {
 	s.Order = append(s.Order, sym)
 }
 
+// SrsNames is what an SRS can name where it appears: the implicit loop
+// counters visible there, then the symbols of its finished frame, where
+// the name of a counter whose loop has ended no longer resolves.
+type SrsNames struct {
+	// Counters holds the symbol each enclosing loop's implicit counter
+	// name resolves to at the SRS: the counter, unless the body declared
+	// that name again.
+	Counters []*Symbol
+	Frame    *Scope
+}
+
+// Lookup resolves a name an SRS computed at run time.
+func (s *SrsNames) Lookup(name string) (*Symbol, bool) {
+	for _, sym := range s.Counters {
+		if sym.Name == name {
+			return sym, true
+		}
+	}
+	sym, ok := s.Frame.Names[name]
+	return sym, ok
+}
+
 // FuncInfo is the analysis result for one HOW IZ I declaration.
 type FuncInfo struct {
 	Decl  *ast.FuncDecl
@@ -196,6 +219,9 @@ type checker struct {
 	// late holds the frame's :{var} references that named no visible
 	// symbol where they appear; bindLate binds them once the frame is done.
 	late []*ast.VarRef
+
+	// counters are the implicit loop counters of the loops being checked.
+	counters []*Symbol
 }
 
 // Check analyses prog and returns the binding information.
@@ -428,6 +454,9 @@ func (c *checker) loop(n *ast.Loop) {
 			n.Sym = implicit
 		}
 	}
+	if implicit != nil {
+		c.counters = append(c.counters, implicit)
+	}
 	if n.Cond != nil {
 		c.expr(n.Cond)
 	}
@@ -438,6 +467,7 @@ func (c *checker) loop(n *ast.Loop) {
 		// The name stays in the frame (slots are stable) but is no longer
 		// visible for resolution outside the loop.
 		delete(c.scope.Names, n.Var)
+		c.counters = c.counters[:len(c.counters)-1]
 	}
 	c.topLevel = saved
 }
@@ -465,8 +495,7 @@ func (c *checker) target(e ast.Expr) {
 		}
 		c.expr(t.IndexE)
 	case *ast.Srs:
-		c.expr(t.X)
-		c.spaceCheck(t.Position, t.Space)
+		c.srs(t)
 	default:
 		c.errorf(e.Pos(), "cannot assign to this expression")
 	}
@@ -506,8 +535,7 @@ func (c *checker) expr(e ast.Expr) {
 			c.expr(a)
 		}
 	case *ast.Srs:
-		c.expr(n.X)
-		c.spaceCheck(n.Position, n.Space)
+		c.srs(n)
 	case *ast.YarnLit:
 		for _, r := range n.Refs {
 			if sym, ok := c.scope.Names[r.Name]; ok {
@@ -517,6 +545,17 @@ func (c *checker) expr(e ast.Expr) {
 			}
 		}
 	}
+}
+
+// srs checks an SRS and attaches what its name can resolve to.
+func (c *checker) srs(n *ast.Srs) {
+	c.expr(n.X)
+	c.spaceCheck(n.Position, n.Space)
+	names := &SrsNames{Frame: c.scope}
+	for _, k := range c.counters {
+		names.Counters = append(names.Counters, c.scope.Names[k.Name])
+	}
+	n.Names = names
 }
 
 // bindLate binds each :{var} reference that named no visible symbol

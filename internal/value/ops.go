@@ -181,8 +181,8 @@ func RawFlip(f float64) (float64, error) {
 // BinaryNumbr applies an Arith op to two raw NUMBR payloads, skipping the
 // operand coercion (and operand boxing) of Binary. For NUMBR operands the
 // result and error behaviour are identical to Binary's — the bytecode
-// VM's unboxed fast path and Binary's own dispatch share this body, so a
-// fused superinstruction cannot drift from the generic semantics.
+// VM's word ops and Binary's own dispatch share this body, so typed code
+// cannot drift from the generic semantics.
 func BinaryNumbr(op BinOp, a, b int64) (Value, error) { return binaryNumbr(op, a, b) }
 
 // BinaryNumbar is BinaryNumbr for raw NUMBAR payloads. It is also the

@@ -16,7 +16,7 @@ import (
 	"repro/internal/vm"
 )
 
-func compileKernel(t *testing.T, src string, opts vm.Options) *vm.Program {
+func compileKernel(t *testing.T, src string) *vm.Program {
 	t.Helper()
 	tree, err := parser.Parse("kernel.lol", src)
 	if err != nil {
@@ -26,7 +26,7 @@ func compileKernel(t *testing.T, src string, opts vm.Options) *vm.Program {
 	if err != nil {
 		t.Fatalf("sema: %v", err)
 	}
-	p, err := vm.CompileOpts(info, opts)
+	p, err := vm.Compile(info)
 	if err != nil {
 		t.Fatalf("vm compile: %v", err)
 	}
@@ -61,14 +61,28 @@ func minCompletingBudget(t *testing.T, p *vm.Program, np int, hi int64) int64 {
 	return lo
 }
 
-// TestStepBudgetInvariantFusedVsUnfused is the S2 acceptance test: for
-// each E1 kernel, the smallest completing budget must be IDENTICAL with
-// fusion on and off — i.e. fused superinstructions meter exactly the
-// pre-fusion step count — and at that boundary both forms produce the
-// same bodies as the unlimited run, while one step less kills both. The
-// budget itself is pinned too: typed ops each replace exactly one
-// generic op, so they must not move any program's step count.
-func TestStepBudgetInvariantFusedVsUnfused(t *testing.T) {
+// orlyMebbeSrc tests typed comparisons with an O RLY? and a MEBBE, which
+// compile to IT branches. Its pin is the count the stack lowering of both
+// (a store, load and test of IT each) gave.
+const orlyMebbeSrc = `HAI 1.2
+I HAS A b ITZ 1.5
+IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 4
+  SMALLR i AN b, O RLY?
+  YA RLY
+    VISIBLE "lo"
+  MEBBE DIFFRINT i AN 3
+    VISIBLE "mid"
+  OIC
+IM OUTTA YR l
+KTHXBYE`
+
+// TestStepBudgetPinned pins, for each E1 kernel and for orlyMebbeSrc, the
+// smallest completing budget. Every instruction weighs the stack
+// instructions a plain compilation of what it covers would execute, so
+// no lowering of word ops or branches may move it. At that boundary the
+// run prints the same bodies as the unlimited run, and one step less
+// kills it.
+func TestStepBudgetPinned(t *testing.T) {
 	kernels := map[string]struct {
 		src  string
 		np   int
@@ -77,44 +91,31 @@ func TestStepBudgetInvariantFusedVsUnfused(t *testing.T) {
 		"montecarlo": {experiments.GenMonteCarlo(60, 2), 2, 1526},
 		"nbody":      {experiments.GenNBody(4, 1), 2, 2290},
 		"arith":      {experiments.GenArithLoop(100), 1, 1314},
+		"orly_mebbe": {orlyMebbeSrc, 1, 80},
 	}
 	for name, k := range kernels {
 		t.Run(name, func(t *testing.T) {
-			fused := compileKernel(t, k.src, vm.Options{})
-			unfused := compileKernel(t, k.src, vm.Options{DisableFusion: true})
-
-			const hi = int64(1) << 22
-			sFused := minCompletingBudget(t, fused, k.np, hi)
-			sUnfused := minCompletingBudget(t, unfused, k.np, hi)
-			if sFused != sUnfused {
-				t.Fatalf("smallest completing budget diverges: fused %d, unfused %d", sFused, sUnfused)
-			}
-			if sFused != k.want {
-				t.Errorf("smallest completing budget is %d, want %d", sFused, k.want)
+			p := compileKernel(t, k.src)
+			smallest := minCompletingBudget(t, p, k.np, int64(1)<<22)
+			if smallest != k.want {
+				t.Errorf("smallest completing budget is %d, want %d", smallest, k.want)
 			}
 
-			wantOut, err := runBudget(unfused, k.np, 0) // unlimited
+			wantOut, err := runBudget(p, k.np, 0) // unlimited
 			if err != nil {
 				t.Fatalf("unlimited run: %v", err)
 			}
-			for _, budget := range []int64{sFused, sFused + 1, sFused + 1000} {
-				for who, p := range map[string]*vm.Program{"fused": fused, "unfused": unfused} {
-					out, err := runBudget(p, k.np, budget)
-					if err != nil {
-						t.Errorf("%s at budget %d: unexpected kill: %v", who, budget, err)
-					} else if out != wantOut {
-						t.Errorf("%s at budget %d: body diverges from unlimited run", who, budget)
-					}
+			for _, budget := range []int64{smallest, smallest + 1, smallest + 1000} {
+				out, err := runBudget(p, k.np, budget)
+				if err != nil {
+					t.Errorf("budget %d: unexpected kill: %v", budget, err)
+				} else if out != wantOut {
+					t.Errorf("budget %d: body diverges from unlimited run", budget)
 				}
 			}
-			for _, budget := range []int64{1, 2, sFused / 2, sFused - 1} {
-				if budget < 1 {
-					continue
-				}
-				for who, p := range map[string]*vm.Program{"fused": fused, "unfused": unfused} {
-					if _, err := runBudget(p, k.np, budget); !errors.Is(err, backend.ErrStepBudget) {
-						t.Errorf("%s at budget %d: error = %v, want ErrStepBudget", who, budget, err)
-					}
+			for _, budget := range []int64{1, 2, smallest / 2, smallest - 1} {
+				if _, err := runBudget(p, k.np, budget); !errors.Is(err, backend.ErrStepBudget) {
+					t.Errorf("budget %d: error = %v, want ErrStepBudget", budget, err)
 				}
 			}
 		})

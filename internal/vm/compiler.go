@@ -10,29 +10,12 @@ import (
 	"repro/internal/value"
 )
 
-// Options tune compilation. The zero value is the production
-// configuration.
-type Options struct {
-	// DisableFusion skips the superinstruction peephole pass (fuse.go),
-	// leaving the compiler's raw instruction stream. Used by the budget
-	// invariant and differential tests to compare fused vs. unfused
-	// execution; production callers should never need it.
-	DisableFusion bool
-}
-
 // Compile lowers a checked program to bytecode: one chunk for the main
 // program and one per HOW IZ I function. All symbol resolution uses the
 // slot addresses sema attached to the AST, so the emitted code addresses
 // variables by frame slot, word and symmetric-heap index only — the only
 // name-keyed lookups left are the ones the language makes dynamic (SRS).
-// After each chunk is sealed, the superinstruction pass (fuse.go) rewrites
-// the hot fixed shapes of its dynamic code into fused opcodes.
 func Compile(info *sema.Info) (*Program, error) {
-	return CompileOpts(info, Options{})
-}
-
-// CompileOpts is Compile with explicit Options.
-func CompileOpts(info *sema.Info, opts Options) (*Program, error) {
 	p := &Program{
 		info:    info,
 		funcIdx: make(map[string]int, len(info.Funcs)),
@@ -57,9 +40,6 @@ func CompileOpts(info *sema.Info, opts Options) (*Program, error) {
 		}
 		c.emit(Instr{Op: OpReturnIT, Pos: fd.Position})
 		c.seal()
-		if !opts.DisableFusion {
-			fuseChunk(c.chunk)
-		}
 	}
 	p.Main = newChunk("main", info.Main, 0)
 	c := &compiler{info: info, prog: p, chunk: p.Main, scope: info.Main, srs: usesSrs(info.Prog.Body)}
@@ -68,9 +48,6 @@ func CompileOpts(info *sema.Info, opts Options) (*Program, error) {
 	}
 	c.emit(Instr{Op: OpHalt, Pos: info.Prog.HaiPos})
 	c.seal()
-	if !opts.DisableFusion {
-		fuseChunk(p.Main)
-	}
 	return p, nil
 }
 
@@ -243,9 +220,26 @@ func remoteFlag(sp ast.Space) int {
 
 // ---------------------------------------------------------------- statements
 
+// stmts compiles a statement list. An expression statement whose value
+// is a typed comparison and the O RLY? right after it compile together,
+// to one IT branch. No jump lands between them: a typed comparison holds
+// no jump, and other jumps land only where a construct ends.
 func (c *compiler) stmts(ss []ast.Stmt) error {
-	for _, s := range ss {
-		if err := c.stmt(s); err != nil {
+	for i := 0; i < len(ss); i++ {
+		if i+1 < len(ss) {
+			e, isExpr := ss[i].(*ast.ExprStmt)
+			n, isIf := ss[i+1].(*ast.If)
+			if isExpr && isIf {
+				if b, ok := c.typedCmp(e.X); ok {
+					if err := c.ifStmt(n, b); err != nil {
+						return err
+					}
+					i++
+					continue
+				}
+			}
+		}
+		if err := c.stmt(ss[i]); err != nil {
 			return err
 		}
 	}
@@ -295,7 +289,7 @@ func (c *compiler) stmt(s ast.Stmt) error {
 		return nil
 
 	case *ast.If:
-		return c.ifStmt(n)
+		return c.ifStmt(n, nil)
 
 	case *ast.Switch:
 		return c.switchStmt(n)
@@ -465,9 +459,20 @@ func usesSrs(body []ast.Stmt) bool {
 	return found
 }
 
-func (c *compiler) ifStmt(n *ast.If) error {
-	c.emit(Instr{Op: OpLoadSlot, A: 0, Pos: n.Position}) // the implicit IT
-	skip := c.emitJump(OpJumpFalse, n)
+// ifStmt compiles an O RLY?. cond, when not nil, is the typed comparison
+// of the expression statement before it, which sets IT; otherwise IT is
+// already set.
+func (c *compiler) ifStmt(n *ast.If, cond *ast.BinExpr) error {
+	var skip int
+	if cond != nil {
+		var err error
+		if skip, err = c.itJump(cond); err != nil {
+			return err
+		}
+	} else {
+		c.emit(Instr{Op: OpLoadSlot, A: 0, Pos: n.Position}) // the implicit IT
+		skip = c.emitJump(OpJumpFalse, n)
+	}
 	if err := c.stmts(n.Then); err != nil {
 		return err
 	}
@@ -475,13 +480,20 @@ func (c *compiler) ifStmt(n *ast.If) error {
 	c.patch(skip)
 	for i := range n.Mebbes {
 		m := &n.Mebbes[i]
-		if err := c.expr(m.Cond); err != nil {
-			return err
-		}
 		// MEBBE sets IT to its condition before testing it.
-		c.emit(Instr{Op: OpDup, Pos: m.Position})
-		c.emit(Instr{Op: OpStoreSlot, A: 0, Pos: m.Position})
-		skip = c.emitJump(OpJumpFalse, n)
+		if b, ok := c.typedCmp(m.Cond); ok {
+			var err error
+			if skip, err = c.itJump(b); err != nil {
+				return err
+			}
+		} else {
+			if err := c.expr(m.Cond); err != nil {
+				return err
+			}
+			c.emit(Instr{Op: OpDup, Pos: m.Position})
+			c.emit(Instr{Op: OpStoreSlot, A: 0, Pos: m.Position})
+			skip = c.emitJump(OpJumpFalse, n)
+		}
 		if err := c.stmts(m.Body); err != nil {
 			return err
 		}
@@ -497,6 +509,21 @@ func (c *compiler) ifStmt(n *ast.If) error {
 		c.patch(j)
 	}
 	return nil
+}
+
+// itJump emits the IT branch for a typed comparison that sets IT and
+// skips an arm when it is FAIL, and returns its index for patch. It
+// weighs the comparison plus the three stack instructions it replaces:
+// the store, load and test of IT after an expression statement, or a
+// MEBBE's dup, store and test.
+func (c *compiler) itJump(b *ast.BinExpr) (int, error) {
+	x, y, err := c.wpair(b)
+	if err != nil {
+		return 0, err
+	}
+	at := c.emitW(Instr{Op: OpWJumpIT, A: int(wordBinOp(b.Op, x.k)), B: x.w, C: y.w, D: -1, Pos: b.Position}, 4+x.wt+y.wt)
+	c.release(x, y)
+	return at, nil
 }
 
 func (c *compiler) switchStmt(n *ast.Switch) error {
@@ -669,7 +696,7 @@ func (c *compiler) load(target ast.Expr) error {
 		if err := c.expr(n.X); err != nil {
 			return err
 		}
-		c.emit(Instr{Op: OpSrsLoad, B: int(n.Space), Pos: n.Position})
+		c.emit(Instr{Op: OpSrsLoad, A: c.srsNames(n), B: int(n.Space), Pos: n.Position})
 		return nil
 	}
 	return c.errf(target, "not a readable target")
@@ -686,10 +713,17 @@ func (c *compiler) store(target ast.Expr) error {
 		if err := c.expr(n.X); err != nil {
 			return err
 		}
-		c.emit(Instr{Op: OpSrsStore, B: int(n.Space), Pos: n.Position})
+		c.emit(Instr{Op: OpSrsStore, A: c.srsNames(n), B: int(n.Space), Pos: n.Position})
 		return nil
 	}
 	return c.errf(target, "cannot assign to this expression")
+}
+
+// srsNames adds what an SRS can name to the chunk's table and returns its
+// index.
+func (c *compiler) srsNames(n *ast.Srs) int {
+	c.chunk.srs = append(c.chunk.srs, n.Names.(*sema.SrsNames))
+	return len(c.chunk.srs) - 1
 }
 
 func (c *compiler) loadVar(n *ast.VarRef) error {
@@ -849,10 +883,7 @@ func (c *compiler) expr(e ast.Expr) error {
 		}
 		c.emit(Instr{Op: OpCall, A: idx, B: len(n.Args), S: n.Name, Pos: n.Position})
 	case *ast.Srs:
-		if err := c.expr(n.X); err != nil {
-			return err
-		}
-		c.emit(Instr{Op: OpSrsLoad, B: int(n.Space), Pos: n.Position})
+		return c.load(n)
 	case *ast.Me:
 		c.emit(Instr{Op: OpMe, Pos: n.Position})
 	case *ast.MahFrenz:

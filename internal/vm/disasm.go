@@ -8,12 +8,12 @@ import (
 )
 
 // Disassemble renders a compiled program as a readable listing, one chunk
-// per section, for `lolrun -dump-bytecode` and the golden tests that pin
-// the compiler's and the fusion pass's output. Word ops print as
-// three-address code with the operator's kind, e.g.
-// "w7 = w1 SUM OF:f w6"; a word constant prints with its kind and value,
-// e.g. "w9<NUMBR 1>". Every instruction whose weight is above 1 prints
-// it, so metering is auditable from the listing alone.
+// per section, for `lolrun -dump-bytecode` and the golden test that pins
+// the compiler's output. Word ops print as three-address code with the
+// operator's kind, e.g. "w7 = w1 SUM OF:f w6"; a word constant prints
+// with its kind and value, e.g. "w9<NUMBR 1>". Every instruction whose
+// weight is above 1 prints it, so metering is auditable from the listing
+// alone.
 func Disassemble(p *Program) string {
 	var b strings.Builder
 	disasmChunk(&b, p.Main)
@@ -65,14 +65,6 @@ func kindMark(k value.Kind) string {
 	return ":i"
 }
 
-// senseStr renders a fused branch's sense: the pop-jump it replaced.
-func senseStr(b int) string {
-	if b&fuseJumpOnTrue != 0 {
-		return "if-true"
-	}
-	return "if-false"
-}
-
 func disasmOperands(c *Chunk, in *Instr) string {
 	name := func() string {
 		if in.S == "" {
@@ -80,7 +72,6 @@ func disasmOperands(c *Chunk, in *Instr) string {
 		}
 		return " (" + in.S + ")"
 	}
-	binOp := func(b int) string { return value.BinOp(b & fuseOpMask).String() }
 	w := func(i int) string { return wordStr(c, i) }
 	switch op := in.Op; {
 	case op >= OpWSumI && op <= OpWDiffrintF:
@@ -96,6 +87,9 @@ func disasmOperands(c *Chunk, in *Instr) string {
 			sense = "if-true"
 		}
 		return fmt.Sprintf("%s %s%s %s %s -> %d", w(in.B), bop, kindMark(k), w(in.C), sense, in.D)
+	case op == OpWJumpIT:
+		bop, k := wordOpKind(Op(in.A))
+		return fmt.Sprintf("IT = %s %s%s %s if-false -> %d", w(in.B), bop, kindMark(k), w(in.C), in.D)
 	case op >= OpWSquarI && op <= OpWFlipF:
 		k := value.Numbr
 		if (op-OpWSquarI)%2 == 1 {
@@ -155,7 +149,7 @@ func disasmOperands(c *Chunk, in *Instr) string {
 		}
 		return s + name()
 	case OpBinary:
-		return binOp(in.A)
+		return value.BinOp(in.A).String()
 	case OpUnary:
 		return value.UnOp(in.A).String()
 	case OpCast:
@@ -170,35 +164,6 @@ func disasmOperands(c *Chunk, in *Instr) string {
 		return fmt.Sprintf("space=%d", in.B)
 	case OpCall:
 		return fmt.Sprintf("f%d args=%d%s", in.A, in.B, name())
-
-	case OpFusedConstBinary:
-		return fmt.Sprintf("tos %s %s", binOp(in.B), konstStr(c, in.A))
-	case OpFusedSlotBinary:
-		return fmt.Sprintf("tos %s s%d", binOp(in.B), in.A)
-	case OpFusedSlotConstBinary:
-		return fmt.Sprintf("s%d %s %s", in.A, binOp(in.B), konstStr(c, in.C))
-	case OpFusedSlotSlotBinary:
-		return fmt.Sprintf("s%d %s s%d", in.A, binOp(in.B), in.C)
-	case OpFusedBinaryStoreSlot:
-		return fmt.Sprintf("s%d = %s", in.A, binOp(in.B))
-	case OpFusedBinaryStoreSlotCast:
-		return fmt.Sprintf("s%d = %s as %s%s", in.A, binOp(in.B), value.Kind(in.C), name())
-	case OpFusedSlotJump:
-		return fmt.Sprintf("s%d %s -> %d", in.A, senseStr(in.B), in.D)
-	case OpFusedSlotConstCmpJump:
-		return fmt.Sprintf("s%d %s %s %s -> %d", in.A, binOp(in.B), konstStr(c, in.C), senseStr(in.B), in.D)
-	case OpFusedSlotSlotCmpJump:
-		return fmt.Sprintf("s%d %s s%d %s -> %d", in.A, binOp(in.B), in.C, senseStr(in.B), in.D)
-	case OpFusedIncSlotJump:
-		return fmt.Sprintf("s%d %+d -> %d%s", in.A, in.B, in.D, name())
-	case OpFusedSlotConstBinaryStore:
-		return fmt.Sprintf("s%d = s%d %s %s", in.D, in.A, binOp(in.B), konstStr(c, in.C))
-	case OpFusedSlotConstBinaryStoreCast:
-		return fmt.Sprintf("s%d = s%d %s %s as %s%s", in.D, in.A, binOp(in.B), konstStr(c, in.C), value.Kind(in.B>>fuseKindShift), name())
-	case OpFusedSlotSlotBinaryStore:
-		return fmt.Sprintf("s%d = s%d %s s%d", in.D, in.A, binOp(in.B), in.C)
-	case OpFusedSlotSlotBinaryStoreCast:
-		return fmt.Sprintf("s%d = s%d %s s%d as %s%s", in.D, in.A, binOp(in.B), in.C, value.Kind(in.B>>fuseKindShift), name())
 	}
 	return ""
 }

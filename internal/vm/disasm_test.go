@@ -12,12 +12,12 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// TestDisassembleGoldenMonteCarlo pins the fusion pass's output on an E1
-// kernel: any change to the superinstruction set, the pattern matcher or
-// the operand encoding shows up as a readable diff against the golden
-// listing. Regenerate with: go test ./internal/vm -run Golden -update
+// TestDisassembleGoldenMonteCarlo pins the compiler's output on an E1
+// kernel: any change to the lowering, the step weights or the operand
+// encoding shows up as a readable diff against the golden listing.
+// Regenerate with: go test ./internal/vm -run Golden -update
 func TestDisassembleGoldenMonteCarlo(t *testing.T) {
-	p := compileKernel(t, experiments.GenMonteCarlo(60, 2), vm.Options{})
+	p := compileKernel(t, experiments.GenMonteCarlo(60, 2))
 	got := vm.Disassemble(p)
 
 	golden := filepath.Join("testdata", "montecarlo_disasm.golden")

@@ -5,6 +5,7 @@ package vm_test
 // generates the kernels, imports the vm through internal/core.
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -20,7 +21,7 @@ func innermostLoops(code []vm.Instr) [][2]int {
 	for i, in := range code {
 		t := -1
 		switch in.Op {
-		case vm.OpWIncJump, vm.OpFusedIncSlotJump:
+		case vm.OpWIncJump:
 			t = in.D
 		case vm.OpJump:
 			t = in.A
@@ -43,14 +44,16 @@ func innermostLoops(code []vm.Instr) [][2]int {
 }
 
 // TestKernelsLowerToWordOps requires every innermost loop of the three
-// kernels programs to run on word ops: no generic or fused stack
-// arithmetic (binary, unary, the fused binaries) and no slot load of a
-// word symbol. Apart from word ops and jumps, a loop may hold only what
-// consumes a value dynamically by design: the IT store an O RLY? tests,
-// TXT MAH BFF's push and pop, and the element stores that write results
-// back to arrays, whose values and subscripts word ops box. The hot
-// loops that do the arithmetic must hold nothing but word ops, jumps,
-// the IT store and predication.
+// kernels programs to run on word ops: no stack arithmetic (binary,
+// unary) and no slot load of a word symbol. Apart from word ops and
+// jumps, a loop may hold only what consumes a value dynamically by
+// design: TXT MAH BFF's push and pop, and the element stores that write
+// results back to arrays, whose values and subscripts word ops box. The
+// hot loops that do the arithmetic must hold nothing but word ops, jumps
+// and predication. Every O RLY? of the kernels tests a typed comparison,
+// so each must be one IT branch, and IT must never pass through the
+// stack: no store.slot s0 or load.slot s0 between a comparison and its
+// branch, or anywhere else.
 func TestKernelsLowerToWordOps(t *testing.T) {
 	kernels := map[string]string{
 		"montecarlo": experiments.GenMonteCarlo(60, 2),
@@ -58,7 +61,7 @@ func TestKernelsLowerToWordOps(t *testing.T) {
 		"arith":      experiments.GenArithLoop(100),
 	}
 	for name, src := range kernels {
-		p := compileKernel(t, src, vm.Options{})
+		p := compileKernel(t, src)
 		scope := p.Main.Scope
 		code := p.Main.Code
 		loops := innermostLoops(code)
@@ -68,9 +71,7 @@ func TestKernelsLowerToWordOps(t *testing.T) {
 			for i := l[0]; i <= l[1]; i++ {
 				in := code[i]
 				switch {
-				case in.Op.Word(), in.Op == vm.OpJump, in.Op == vm.OpJumpTrue, in.Op == vm.OpJumpFalse,
-					in.Op == vm.OpFusedSlotJump, in.Op == vm.OpStoreSlot && in.A == 0,
-					in.Op == vm.OpPredPush, in.Op == vm.OpPredPop:
+				case in.Op.Word(), in.Op == vm.OpJump, in.Op == vm.OpPredPush, in.Op == vm.OpPredPop:
 				case in.Op == vm.OpStoreElem, in.Op == vm.OpStoreElemSlot:
 					dynamic++
 				case in.Op == vm.OpLoadSlot && isWordSym(scope.Order[in.A]):
@@ -85,6 +86,18 @@ func TestKernelsLowerToWordOps(t *testing.T) {
 		}
 		if pure == 0 {
 			t.Errorf("%s: no innermost loop of only word ops among %v\n%s", name, loops, vm.Disassemble(p))
+		}
+		itBranches := 0
+		for i, in := range code {
+			switch {
+			case in.Op == vm.OpWJumpIT:
+				itBranches++
+			case (in.Op == vm.OpStoreSlot || in.Op == vm.OpLoadSlot) && in.A == 0:
+				t.Errorf("%s: %d: %v moves IT through the stack", name, i, in.Op)
+			}
+		}
+		if orly := strings.Count(src, "O RLY?"); itBranches != orly {
+			t.Errorf("%s: %d IT branches for %d O RLY?s\n%s", name, itBranches, orly, vm.Disassemble(p))
 		}
 	}
 }

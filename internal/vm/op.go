@@ -18,10 +18,9 @@ import (
 // destination word and B and C the operand words, w[i] naming word i.
 //
 // The enum is laid out deliberately: the hot cluster — the plain stack
-// ops, the word ops and every fused superinstruction — occupies the
-// dense low range so the dispatch switch's jump table keeps the
-// loop-dominant cases together; the cold I/O, heap-array and
-// dynamic-lookup ops follow.
+// ops and the word ops — occupies the dense low range so the dispatch
+// switch's jump table keeps the loop-dominant cases together; the cold
+// I/O, heap-array and dynamic-lookup ops follow.
 type Op uint8
 
 const (
@@ -76,6 +75,11 @@ const (
 	OpWJumpBothSaemF
 	OpWJumpDiffrintF
 
+	// The IT branch, a typed O RLY? or MEBBE condition: IT = TROOF(w[B]
+	// op w[C]), then jump to D when it is FAIL. A is the comparison's word
+	// op, OpWBiggerI … OpWDiffrintF, which names the operator and kind.
+	OpWJumpIT
+
 	// Unary math, two per value.UnOp from SQUAR OF: w[A] = op w[B] for a
 	// NUMBR (I) or NUMBAR (F) operand. Only SQUAR OF of a NUMBR yields a
 	// NUMBR.
@@ -104,29 +108,6 @@ const (
 	OpWMahFrenz  // w[A] = the PE count
 	OpWWhatevr   // w[A] = a random NUMBR
 	OpWWhatevar  // w[A] = a random NUMBAR in [0,1)
-
-	// --- fused superinstructions (see fuse.go), for dynamic code. Each
-	// replaces a fixed sequence of stack ops and carries their summed
-	// step weight. B packs the BinOp in its low bits; fused jumps add the
-	// fuseJumpOnTrue bit and carry their target in D.
-	OpFusedConstBinary         // tos = Binary(B, tos, Consts[A])
-	OpFusedSlotBinary          // tos = Binary(B, tos, slots[A])
-	OpFusedSlotConstBinary     // push Binary(B, slots[A], Consts[C])
-	OpFusedSlotSlotBinary      // push Binary(B, slots[A], slots[C])
-	OpFusedBinaryStoreSlot     // y=pop, x=pop; slots[A] = Binary(B, x, y)
-	OpFusedBinaryStoreSlotCast // y=pop, x=pop; slots[A] = cast(Binary(B, x, y), Kind(C)); S names the SRSLY var
-	OpFusedSlotJump            // jump to D when slots[A] truthiness matches B's sense
-	OpFusedSlotConstCmpJump    // jump to D when Binary(B, slots[A], Consts[C]) truthiness matches B's sense
-	OpFusedSlotSlotCmpJump     // jump to D when Binary(B, slots[A], slots[C]) truthiness matches B's sense
-	OpFusedIncSlotJump         // slots[A] = NUMBR(slots[A]) + B; ip = D (loop back-edge)
-
-	// Whole-statement fusions: a two-operand expression assigned straight
-	// to a slot, with no value-stack traffic at all. D is the destination
-	// slot; the Cast variants pack the SRSLY kind into B above the BinOp.
-	OpFusedSlotConstBinaryStore     // slots[D] = Binary(B, slots[A], Consts[C])
-	OpFusedSlotConstBinaryStoreCast // slots[D] = cast(Binary(B, slots[A], Consts[C]))
-	OpFusedSlotSlotBinaryStore      // slots[D] = Binary(B, slots[A], slots[C])
-	OpFusedSlotSlotBinaryStoreCast  // slots[D] = cast(Binary(B, slots[A], slots[C]))
 
 	// --- the rest of the frame/stack ops
 	OpPop           // drop the top of stack
@@ -182,8 +163,8 @@ const (
 	OpWhatevar // push a random NUMBAR in [0,1)
 
 	// --- dynamic symbol access (SRS); B is the ast.Space
-	OpSrsLoad  // name=pop; resolve in the frame scope and read
-	OpSrsStore // name=pop, v=pop; resolve and write
+	OpSrsLoad  // name=pop; resolve in srs[A] and read
+	OpSrsStore // name=pop, v=pop; resolve in srs[A] and write
 
 	// --- calls
 	OpCall     // call Funcs[A] with B arguments popped from the stack; S names it
@@ -214,27 +195,11 @@ var opNames = [...]string{
 	OpSrsLoad: "srs.load", OpSrsStore: "srs.store",
 	OpCall: "call", OpReturn: "return", OpReturnIT: "return.it", OpHalt: "halt",
 
-	OpFusedConstBinary:         "fuse.const.binary",
-	OpFusedSlotBinary:          "fuse.slot.binary",
-	OpFusedSlotConstBinary:     "fuse.slot.const.binary",
-	OpFusedSlotSlotBinary:      "fuse.slot.slot.binary",
-	OpFusedBinaryStoreSlot:     "fuse.binary.store.slot",
-	OpFusedBinaryStoreSlotCast: "fuse.binary.store.slot.cast",
-	OpFusedSlotJump:            "fuse.slot.jump",
-	OpFusedSlotConstCmpJump:    "fuse.slot.const.cmp.jump",
-	OpFusedSlotSlotCmpJump:     "fuse.slot.slot.cmp.jump",
-	OpFusedIncSlotJump:         "fuse.inc.slot.jump",
-
-	OpFusedSlotConstBinaryStore:     "fuse.slot.const.binary.store",
-	OpFusedSlotConstBinaryStoreCast: "fuse.slot.const.binary.store.cast",
-	OpFusedSlotSlotBinaryStore:      "fuse.slot.slot.binary.store",
-	OpFusedSlotSlotBinaryStoreCast:  "fuse.slot.slot.binary.store.cast",
-
 	OpWSquarI: "w.squar.i", OpWSquarF: "w.squar.f",
 	OpWUnsquarI: "w.unsquar.i", OpWUnsquarF: "w.unsquar.f",
 	OpWFlipI: "w.flip.i", OpWFlipF: "w.flip.f",
 	OpWMove: "w.move", OpWWiden: "w.widen", OpWTrunc: "w.trunc",
-	OpWIncJump: "w.inc.jump", OpWBoxI: "w.box.i", OpWBoxF: "w.box.f",
+	OpWJumpIT: "w.jump.it", OpWIncJump: "w.inc.jump", OpWBoxI: "w.box.i", OpWBoxF: "w.box.f",
 	OpWElemSlotI: "w.elem.slot.i", OpWElemSlotF: "w.elem.slot.f",
 	OpWElemHeapI: "w.elem.heap.i", OpWElemHeapF: "w.elem.heap.f",
 	OpWLoadHeapI: "w.load.heap.i", OpWLoadHeapF: "w.load.heap.f",
@@ -321,22 +286,11 @@ const (
 // (a UR reference) instead of the local PE.
 const flagRemote = 1
 
-// Fused instructions pack the expression's BinOp into B's low bits.
-// Fused jumps add fuseJumpOnTrue to select the branch sense (set = the
-// fused OpJumpTrue shape, clear = OpJumpFalse); fused store-casts pack
-// the declared SRSLY kind above fuseKindShift.
-const (
-	fuseOpMask     = 0xff
-	fuseJumpOnTrue = 1 << 8
-	fuseKindShift  = 9
-)
-
 // Instr is one decoded instruction. The VM trades the byte-packed encoding
 // of a production VM for direct struct access: no operand decoding on the
 // hot path, and every instruction carries its source position for errors.
-// D is the jump target of fused and word compare-and-branch ops, kept
-// separate from A so slot/const operands never alias a target during
-// fusion's index remapping.
+// D is the jump target of the word branches (compare-and-branch, the IT
+// branch and increment-and-jump), whose A, B and C hold operands.
 //
 // W is the instruction's step weight: the number of stack instructions a
 // plain stack compilation of the AST nodes it covers would execute (see
@@ -363,9 +317,10 @@ func (in Instr) String() string {
 }
 
 // Chunk is one compiled frame body: the main program or one HOW IZ I
-// function. NSlots is the frame size computed by sema's slot resolution;
-// Scope is retained only for the dynamic name lookups SRS needs at
-// runtime.
+// function. NSlots is the frame size computed by sema's slot resolution,
+// and Scope the frame's symbols. srs holds what each SRS of the chunk
+// can name, indexed by OpSrsLoad's and OpSrsStore's A: the one lookup
+// the language forces to stay dynamic.
 //
 // Words is the template every frame's word file starts as: NWords
 // words, the first NSlots the homes of the frame's word symbols (by
@@ -381,6 +336,7 @@ type Chunk struct {
 	wkind  []value.Kind
 	Params int
 	Scope  *sema.Scope
+	srs    []*sema.SrsNames
 }
 
 // The word file's helpers. A word holds a NUMBR's int64 bits or a
@@ -489,12 +445,11 @@ func wordBin(op Op, x, y uint64) (uint64, error) {
 	return fw(f), err
 }
 
-// The helpers below are the dynamic ops' bodies, shared by the plain and
-// the fused opcodes. Operands and destination are passed by pointer —
-// into the value stack, the slot array or the constant pool — so no
-// 48-byte value.Value is copied in or out, and the result is written in
-// place (dst may alias an operand; every body reads its operands first).
-// Operands that are numeric at run time take typed bodies; anything else
+// The helpers below are the bodies of the dynamic binary and unary ops.
+// Operands and destination are passed by pointer into the value stack,
+// so no 48-byte value.Value is copied in or out, and the result is
+// written in place (dst may alias an operand; every body reads its
+// operands first). Operands that are numeric at run time take typed bodies; anything else
 // goes to value.Binary or value.Unary. Division, modulo, UNSQUAR and FLIP
 // go through value.Raw* and the rest through value.BinaryNumbr,
 // BinaryNumbar or RawCmp*, so results and error text stay single-sourced
@@ -573,24 +528,6 @@ func binGeneric(dst *value.Value, op value.BinOp, x, y *value.Value) error {
 	return nil
 }
 
-// binCast is a binary op stored into a SRSLY private of type k:
-// *dst = Cast(Binary(op, *x, *y), k).
-func binCast(dst *value.Value, op value.BinOp, x, y *value.Value, k value.Kind, name string) error {
-	var v value.Value
-	if err := binInto(&v, op, x, y); err != nil {
-		return err
-	}
-	if v.Kind() != k {
-		cv, err := value.Cast(v, k)
-		if err != nil {
-			return fmt.Errorf("assigning to SRSLY %s %s: %w", k, name, err)
-		}
-		v = cv
-	}
-	*dst = v
-	return nil
-}
-
 // unInto is *dst = Unary(op, *x).
 func unInto(dst *value.Value, op value.UnOp, x *value.Value) error {
 	var f float64
@@ -633,25 +570,6 @@ func unGeneric(dst *value.Value, op value.UnOp, x *value.Value) error {
 	}
 	*dst = v
 	return nil
-}
-
-// truthBin is Binary(op, *x, *y).ToTroof() for a fused compare-and-branch:
-// a numeric comparison never builds the intermediate TROOF.
-func truthBin(op value.BinOp, x, y *value.Value) (bool, error) {
-	if numeric, ints := numPair(x, y); ints {
-		if res, ok := value.RawCmpNumbr(op, x.Numbr(), y.Numbr()); ok {
-			return res, nil
-		}
-	} else if numeric {
-		if res, ok := value.RawCmpNumbar(op, toF(x), toF(y)); ok {
-			return res, nil
-		}
-	}
-	var v value.Value
-	if err := binInto(&v, op, x, y); err != nil {
-		return false, err
-	}
-	return v.ToTroof(), nil
 }
 
 // addSubMul reports whether op is SUM, DIFF or PRODUKT OF, the operators

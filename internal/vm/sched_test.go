@@ -101,8 +101,8 @@ func TestSchedKillClassificationParity(t *testing.T) {
 		},
 	}
 	progs := map[string]*vm.Program{
-		"barrier": compileKernel(t, spinBarrierSrc, vm.Options{}),
-		"lock":    compileKernel(t, spinLockSrc, vm.Options{}),
+		"barrier": compileKernel(t, spinBarrierSrc),
+		"lock":    compileKernel(t, spinLockSrc),
 	}
 	const np = 8
 	for pname, p := range progs {
@@ -157,7 +157,7 @@ func TestSchedMonteCarloHighNP(t *testing.T) {
 	if testing.Short() {
 		np = 1024
 	}
-	p := compileKernel(t, experiments.GenMonteCarlo(10, np), vm.Options{})
+	p := compileKernel(t, experiments.GenMonteCarlo(10, np))
 	run := func(mode backend.SchedMode) (string, *backend.Result) {
 		var out strings.Builder
 		res, err := p.Run(backend.Config{NP: np, Seed: 2017, Stdout: &out, GroupOutput: true, Sched: mode})

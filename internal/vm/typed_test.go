@@ -3,6 +3,7 @@ package vm_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,9 +18,9 @@ import (
 // consumer, and every in-process engine must match interp on them.
 
 // typedCase is one generated program. Every operation op in it is a word
-// op of kind mark ("i" or "f") in the VM's listing.
+// op of kind mark ("i" or "f") in the VM's listing, consumed as form.
 type typedCase struct {
-	name, src, op, mark string
+	name, src, op, mark, form string
 }
 
 var (
@@ -43,8 +44,11 @@ var (
 	// What consumes the operation: a VISIBLE argument (an expression on
 	// the stack), a loop head's compare-and-branch, a store into an
 	// inferred private, an identity store into a SRSLY private, and a
-	// casting store into a SRSLY private of another type.
+	// casting store into a SRSLY private of another type. A comparison
+	// is also tested by an O RLY? after it and as a MEBBE condition, the
+	// IT branch, whose arms print IT.
 	typedBinForms = []string{"expr", "head", "store", "srsly", "cast"}
+	typedCmpForms = []string{"orly", "mebbe"}
 	typedUnForms  = []string{"expr", "store", "srsly"}
 )
 
@@ -110,6 +114,10 @@ func consume(form, expr string) string {
 		return "VISIBLE " + expr + "\n"
 	case "head":
 		return "IM IN YR l UPPIN YR k TIL " + expr + "\n  VISIBLE \"F\"\n  GTFO\nIM OUTTA YR l\nVISIBLE \".\"\n"
+	case "orly":
+		return expr + ", O RLY?\nYA RLY\n  VISIBLE \"Y \" IT\nNO WAI\n  VISIBLE \"N \" IT\nOIC\n"
+	case "mebbe":
+		return "FAIL, O RLY?\nYA RLY\n  VISIBLE \"?\"\nMEBBE " + expr + "\n  VISIBLE \"M \" IT\nNO WAI\n  VISIBLE \"N \" IT\nOIC\n"
 	}
 	return "r R " + expr + "\nVISIBLE r\n"
 }
@@ -128,9 +136,14 @@ func typedCases() []typedCase {
 	}
 	var cases []typedCase
 	for _, op := range typedBinOps {
+		cmp := op == "BIGGER" || op == "SMALLR" || op == "BOTH SAEM" || op == "DIFFRINT"
+		forms := typedBinForms
+		if cmp {
+			forms = slices.Concat(typedBinForms, typedCmpForms)
+		}
 		resKind := func(kx, ky string) string {
 			switch {
-			case op == "BIGGER" || op == "SMALLR" || op == "BOTH SAEM" || op == "DIFFRINT":
+			case cmp:
 				return "TROOF"
 			case kx == "NUMBR" && ky == "NUMBR":
 				return "NUMBR"
@@ -153,7 +166,7 @@ func typedCases() []typedCase {
 				if len(failing) > 0 {
 					pairs = append(pairs, failing[0])
 				}
-				for _, form := range typedBinForms {
+				for _, form := range forms {
 					for _, sx := range typedSources {
 						for _, sy := range typedSources {
 							xd, xset, xread := operand("x", kx, sx)
@@ -167,7 +180,7 @@ func typedCases() []typedCase {
 							b.WriteString("KTHXBYE\n")
 							cases = append(cases, typedCase{
 								name: fmt.Sprintf("%s/%s_%s/%s/%s_%s", op, kx, ky, form, sx, sy),
-								src:  b.String(), op: op, mark: mark(kx, ky),
+								src:  b.String(), op: op, mark: mark(kx, ky), form: form,
 							})
 						}
 					}
@@ -203,7 +216,7 @@ func typedCases() []typedCase {
 					b.WriteString("KTHXBYE\n")
 					cases = append(cases, typedCase{
 						name: fmt.Sprintf("%s/%s/%s/%s", op, k, form, sx),
-						src:  b.String(), op: op, mark: mark(k, k)[:1],
+						src:  b.String(), op: op, mark: mark(k, k)[:1], form: form,
 					})
 				}
 			}
@@ -237,9 +250,10 @@ func wordOpName(prefix, op, mark string) string {
 // print interp's bytes and end with its outcome, error text and position
 // on every generated program. Through the VM's listing it also requires
 // that each program's operation is a word op of the program's kind
-// wherever it occurs, and that every word opcode of every operator, and
-// the widening of a NUMBR operand, occurs, so the test cannot pass by
-// falling back to dynamic ops.
+// wherever it occurs (the IT branch for an O RLY? or MEBBE consumer), and
+// that every word opcode of every operator, and the widening of a NUMBR
+// operand, occurs, so the test cannot pass by falling back to dynamic
+// ops.
 func TestTypedOpsMatchInterp(t *testing.T) {
 	ref, err := backend.ByName("interp")
 	if err != nil {
@@ -268,6 +282,10 @@ func TestTypedOpsMatchInterp(t *testing.T) {
 				n++
 				switch {
 				case !strings.HasPrefix(line[i:], typed):
+				case slices.Contains(typedCmpForms, c.form):
+					if f[1] == "w.jump.it" {
+						m++
+					}
 				case f[1] == wordOpName("w.", c.op, c.mark), f[1] == wordOpName("w.jump.", c.op, c.mark),
 					f[1] == wordOpName("w.", strings.TrimSuffix(c.op, " OF"), c.mark): // the unaries
 					m++
@@ -285,7 +303,7 @@ func TestTypedOpsMatchInterp(t *testing.T) {
 			}
 		}
 	}
-	want := []string{"w.widen", "w.trunc"}
+	want := []string{"w.widen", "w.trunc", "w.jump.it"}
 	for _, mark := range []string{"i", "f"} {
 		for _, op := range typedBinOps {
 			want = append(want, wordOpName("w.", op, mark))

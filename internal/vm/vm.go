@@ -20,7 +20,9 @@
 // the NUMBR operand of a mixed pair widened first, as value.Binary
 // widens. A loop head comparing two typed operands is one typed
 // compare-and-branch, and a word counter counts with one
-// increment-and-jump.
+// increment-and-jump. A typed comparison that an O RLY? tests, the
+// expression statement right before it or a MEBBE condition, is one IT
+// branch: it stores the TROOF in IT and branches on it.
 //
 // At the boundaries, a dynamic consumer (VISIBLE, a YARN, an element or
 // heap store, a call argument, IT) gets a typed result boxed by one op,
@@ -30,19 +32,18 @@
 // error rather than a read of the wrong payload. SRS and :{var} read and
 // write word symbols through their words.
 //
-// Dynamic code runs on a value stack. A peephole pass (fuse.go) collapses
-// its hot shapes — loop heads, read-modify-write statements,
-// increment-jump back-edges — into fused superinstructions, and a
-// dynamic op whose operands turn out numeric at run time still takes the
-// typed bodies.
+// Dynamic code runs on a value stack, one instruction per operation, and
+// a dynamic op whose operands turn out numeric at run time still takes
+// the typed bodies.
 //
 // Metering does not depend on the lowering. Each instruction carries its
 // step weight W: the number of instructions a plain stack compilation of
 // the AST nodes it covers would execute. A word op covers one operator
-// plus the loads of the variable and constant operands it reads; a fused
-// op weighs the sum of its parts. So a step budget buys the same steps
-// under every lowering, and Disassemble (or `lolrun -dump-bytecode`)
-// prints each weight above 1.
+// plus the loads of the variable and constant operands it reads; a word
+// branch adds the stack instructions that would test its condition (and,
+// for the IT branch, store and reload IT). So a step budget buys the same
+// steps as under a plain stack compilation, and Disassemble (or `lolrun
+// -dump-bytecode`) prints each weight above 1.
 package vm
 
 import (
@@ -182,8 +183,8 @@ type runner struct {
 	pred   []int // TXT MAH BFF predication stack of target PE ids
 
 	// meter enforces the run's deadline and step budget; each
-	// instruction meters its weight W (see the package doc), so neither
-	// word code nor fusion changes how many steps a budget buys.
+	// instruction meters its weight W (see the package doc), so word code
+	// does not change how many steps a budget buys.
 	meter backend.Meter
 
 	// yieldEvery > 0 marks a scheduled runner: run() is a resumable step
@@ -386,6 +387,31 @@ func (r *runner) run() error {
 			if (wf(words[in.B]) != wf(words[in.C])) == (in.A != 0) {
 				ip = in.D
 			}
+		case OpWJumpIT:
+			x, y := words[in.B], words[in.C]
+			var res bool
+			switch Op(in.A) {
+			case OpWBiggerI:
+				res = int64(x) > int64(y)
+			case OpWSmallrI:
+				res = int64(x) < int64(y)
+			case OpWBothSaemI:
+				res = x == y
+			case OpWDiffrintI:
+				res = x != y
+			case OpWBiggerF:
+				res = wf(x) > wf(y)
+			case OpWSmallrF:
+				res = wf(x) < wf(y)
+			case OpWBothSaemF:
+				res = wf(x) == wf(y)
+			default: // OpWDiffrintF
+				res = wf(x) != wf(y)
+			}
+			slots[0] = value.NewTroof(res) // IT
+			if !res {
+				ip = in.D
+			}
 
 		case OpWSquarI:
 			words[in.A] = words[in.B] * words[in.B]
@@ -463,80 +489,6 @@ func (r *runner) run() error {
 			words[in.A] = uint64(r.pe.Rand().Int63n(1 << 31))
 		case OpWWhatevar:
 			words[in.A] = fw(r.pe.Rand().Float64())
-
-		case OpFusedConstBinary:
-			t := &r.stack[len(r.stack)-1]
-			if err := binInto(t, value.BinOp(in.B), t, &consts[in.A]); err != nil {
-				return rerr(in.Pos, err)
-			}
-		case OpFusedSlotBinary:
-			t := &r.stack[len(r.stack)-1]
-			if err := binInto(t, value.BinOp(in.B), t, &slots[in.A]); err != nil {
-				return rerr(in.Pos, err)
-			}
-		case OpFusedSlotConstBinary:
-			if err := binInto(r.pushSlot(), value.BinOp(in.B), &slots[in.A], &consts[in.C]); err != nil {
-				return rerr(in.Pos, err)
-			}
-		case OpFusedSlotSlotBinary:
-			if err := binInto(r.pushSlot(), value.BinOp(in.B), &slots[in.A], &slots[in.C]); err != nil {
-				return rerr(in.Pos, err)
-			}
-		case OpFusedBinaryStoreSlot:
-			t := len(r.stack) - 2
-			if err := binInto(&slots[in.A], value.BinOp(in.B), &r.stack[t], &r.stack[t+1]); err != nil {
-				return rerr(in.Pos, err)
-			}
-			r.stack = r.stack[:t]
-		case OpFusedBinaryStoreSlotCast:
-			t := len(r.stack) - 2
-			if err := binCast(&slots[in.A], value.BinOp(in.B), &r.stack[t], &r.stack[t+1], value.Kind(in.C), in.S); err != nil {
-				return rerr(in.Pos, err)
-			}
-			r.stack = r.stack[:t]
-		case OpFusedSlotJump:
-			if slots[in.A].ToTroof() == (in.B&fuseJumpOnTrue != 0) {
-				ip = in.D
-			}
-		case OpFusedSlotConstCmpJump:
-			res, err := truthBin(value.BinOp(in.B&fuseOpMask), &slots[in.A], &consts[in.C])
-			if err != nil {
-				return rerr(in.Pos, err)
-			}
-			if res == (in.B&fuseJumpOnTrue != 0) {
-				ip = in.D
-			}
-		case OpFusedSlotSlotCmpJump:
-			res, err := truthBin(value.BinOp(in.B&fuseOpMask), &slots[in.A], &slots[in.C])
-			if err != nil {
-				return rerr(in.Pos, err)
-			}
-			if res == (in.B&fuseJumpOnTrue != 0) {
-				ip = in.D
-			}
-		case OpFusedSlotConstBinaryStore:
-			if err := binInto(&slots[in.D], value.BinOp(in.B), &slots[in.A], &consts[in.C]); err != nil {
-				return rerr(in.Pos, err)
-			}
-		case OpFusedSlotConstBinaryStoreCast:
-			if err := binCast(&slots[in.D], value.BinOp(in.B&fuseOpMask), &slots[in.A], &consts[in.C], value.Kind(in.B>>fuseKindShift), in.S); err != nil {
-				return rerr(in.Pos, err)
-			}
-		case OpFusedSlotSlotBinaryStore:
-			if err := binInto(&slots[in.D], value.BinOp(in.B), &slots[in.A], &slots[in.C]); err != nil {
-				return rerr(in.Pos, err)
-			}
-		case OpFusedSlotSlotBinaryStoreCast:
-			if err := binCast(&slots[in.D], value.BinOp(in.B&fuseOpMask), &slots[in.A], &slots[in.C], value.Kind(in.B>>fuseKindShift), in.S); err != nil {
-				return rerr(in.Pos, err)
-			}
-		case OpFusedIncSlotJump:
-			if v := &slots[in.A]; v.Kind() == value.Numbr {
-				*v = value.NewNumbr(v.Numbr() + int64(in.B))
-			} else if err := incSlot(v, in); err != nil {
-				return err
-			}
-			ip = in.D
 
 		case OpPop:
 			r.stack = r.stack[:len(r.stack)-1]
@@ -943,14 +895,13 @@ func (r *runner) popSize(in *Instr) (int, error) {
 	return int(n), nil
 }
 
-// srsResolve pops a YARN name and resolves it in the frame's scope — the
-// one lookup the language forces to stay dynamic.
+// srsResolve pops a YARN name and resolves it in what the SRS can name.
 func (r *runner) srsResolve(fr *frame, in *Instr) (*sema.Symbol, error) {
 	name, err := r.pop().ToYarn()
 	if err != nil {
 		return nil, rerr(in.Pos, fmt.Errorf("SRS: %w", err))
 	}
-	sym, ok := fr.chunk.Scope.Names[name]
+	sym, ok := fr.chunk.srs[in.A].Lookup(name)
 	if !ok {
 		return nil, rerrf(in.Pos, "SRS %q: no such variable", name)
 	}

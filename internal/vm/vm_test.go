@@ -40,10 +40,12 @@ func runSrc(t *testing.T, src string, np int) string {
 }
 
 // TestJumpPatchingResolved checks the compile-time invariant behind every
-// control-flow construct: no emitted jump may keep its -1 placeholder, and
-// every target must land inside the chunk.
+// control-flow construct: no emitted jump, stack or word branch, may keep
+// its -1 placeholder, and every target must land inside the chunk. It
+// checks the shape programs too, and that the O RLY? and MEBBE below,
+// typed comparisons of a word counter, are IT branches.
 func TestJumpPatchingResolved(t *testing.T) {
-	p := compileSrc(t, `HAI 1.2
+	progs := map[string]string{"constructs": `HAI 1.2
 HOW IZ I pick YR n
   n, WTF?
   OMG 1
@@ -72,16 +74,37 @@ IM IN YR outer UPPIN YR i TIL BOTH SAEM i AN 3
 IM OUTTA YR outer
 VISIBLE total
 VISIBLE I IZ pick YR 1 MKAY
-KTHXBYE`)
-	for _, chunk := range append([]*Chunk{p.Main}, p.Funcs...) {
-		for i, in := range chunk.Code {
-			switch in.Op {
-			case OpJump, OpJumpTrue, OpJumpFalse, OpJumpTrueKeep, OpJumpFalseKeep:
-				if in.A < 0 || in.A > len(chunk.Code) {
-					t.Errorf("%s[%d]: %v has unpatched or out-of-range target %d",
-						chunk.Name, i, in.Op, in.A)
+KTHXBYE`}
+	for name, src := range shapePrograms {
+		progs[name] = src
+	}
+	for name, src := range progs {
+		p := compileSrc(t, src)
+		itBranches := 0
+		for _, chunk := range append([]*Chunk{p.Main}, p.Funcs...) {
+			for i, in := range chunk.Code {
+				var target int
+				switch in.Op {
+				case OpJump, OpJumpTrue, OpJumpFalse, OpJumpTrueKeep, OpJumpFalseKeep:
+					target = in.A
+				case OpWJumpBiggerI, OpWJumpSmallrI, OpWJumpBothSaemI, OpWJumpDiffrintI,
+					OpWJumpBiggerF, OpWJumpSmallrF, OpWJumpBothSaemF, OpWJumpDiffrintF,
+					OpWJumpIT, OpWIncJump:
+					target = in.D
+					if in.Op == OpWJumpIT {
+						itBranches++
+					}
+				default:
+					continue
+				}
+				if target < 0 || target > len(chunk.Code) {
+					t.Errorf("%s: %s[%d]: %v has unpatched or out-of-range target %d",
+						name, chunk.Name, i, in.Op, target)
 				}
 			}
+		}
+		if name == "constructs" && itBranches != 2 {
+			t.Errorf("constructs: %d IT branches, want 2\n%s", itBranches, Disassemble(p))
 		}
 	}
 }
