@@ -201,6 +201,15 @@ func TestShapesMatchInterp(t *testing.T) {
 	}
 }
 
+// TestShapeJumpTargetsInRange checks that every stack and word branch the
+// shape programs and their boxed twins compile to is patched and lands
+// inside its chunk.
+func TestShapeJumpTargetsInRange(t *testing.T) {
+	for name, src := range shapePrograms {
+		checkJumpTargets(t, name, compileSrc(t, src))
+	}
+}
+
 // TestBoxedTwinsStayBoxed checks the twins exercise what they exist for:
 // no word symbol in their main frame.
 func TestBoxedTwinsStayBoxed(t *testing.T) {

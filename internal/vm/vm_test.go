@@ -39,13 +39,40 @@ func runSrc(t *testing.T, src string, np int) string {
 	return out.String()
 }
 
+// branchTarget returns the target of a stack or word branch.
+func branchTarget(in Instr) (int, bool) {
+	switch in.Op {
+	case OpJump, OpJumpTrue, OpJumpFalse, OpJumpTrueKeep, OpJumpFalseKeep:
+		return in.A, true
+	case OpWJumpBiggerI, OpWJumpSmallrI, OpWJumpBothSaemI, OpWJumpDiffrintI,
+		OpWJumpBiggerF, OpWJumpSmallrF, OpWJumpBothSaemF, OpWJumpDiffrintF,
+		OpWJumpIT, OpWIncJump:
+		return in.D, true
+	}
+	return 0, false
+}
+
+// checkJumpTargets reports every branch of p left at its -1 placeholder
+// or aimed outside its chunk.
+func checkJumpTargets(t *testing.T, name string, p *Program) {
+	t.Helper()
+	for _, chunk := range append([]*Chunk{p.Main}, p.Funcs...) {
+		for i, in := range chunk.Code {
+			if target, ok := branchTarget(in); ok && (target < 0 || target > len(chunk.Code)) {
+				t.Errorf("%s: %s[%d]: %v has unpatched or out-of-range target %d",
+					name, chunk.Name, i, in.Op, target)
+			}
+		}
+	}
+}
+
 // TestJumpPatchingResolved checks the compile-time invariant behind every
 // control-flow construct: no emitted jump, stack or word branch, may keep
 // its -1 placeholder, and every target must land inside the chunk. It
-// checks the shape programs too, and that the O RLY? and MEBBE below,
-// typed comparisons of a word counter, are IT branches.
+// checks too that the O RLY? and MEBBE below, typed comparisons of a word
+// counter, are IT branches.
 func TestJumpPatchingResolved(t *testing.T) {
-	progs := map[string]string{"constructs": `HAI 1.2
+	p := compileSrc(t, `HAI 1.2
 HOW IZ I pick YR n
   n, WTF?
   OMG 1
@@ -74,38 +101,18 @@ IM IN YR outer UPPIN YR i TIL BOTH SAEM i AN 3
 IM OUTTA YR outer
 VISIBLE total
 VISIBLE I IZ pick YR 1 MKAY
-KTHXBYE`}
-	for name, src := range shapePrograms {
-		progs[name] = src
-	}
-	for name, src := range progs {
-		p := compileSrc(t, src)
-		itBranches := 0
-		for _, chunk := range append([]*Chunk{p.Main}, p.Funcs...) {
-			for i, in := range chunk.Code {
-				var target int
-				switch in.Op {
-				case OpJump, OpJumpTrue, OpJumpFalse, OpJumpTrueKeep, OpJumpFalseKeep:
-					target = in.A
-				case OpWJumpBiggerI, OpWJumpSmallrI, OpWJumpBothSaemI, OpWJumpDiffrintI,
-					OpWJumpBiggerF, OpWJumpSmallrF, OpWJumpBothSaemF, OpWJumpDiffrintF,
-					OpWJumpIT, OpWIncJump:
-					target = in.D
-					if in.Op == OpWJumpIT {
-						itBranches++
-					}
-				default:
-					continue
-				}
-				if target < 0 || target > len(chunk.Code) {
-					t.Errorf("%s: %s[%d]: %v has unpatched or out-of-range target %d",
-						name, chunk.Name, i, in.Op, target)
-				}
+KTHXBYE`)
+	checkJumpTargets(t, "constructs", p)
+	itBranches := 0
+	for _, chunk := range append([]*Chunk{p.Main}, p.Funcs...) {
+		for _, in := range chunk.Code {
+			if in.Op == OpWJumpIT {
+				itBranches++
 			}
 		}
-		if name == "constructs" && itBranches != 2 {
-			t.Errorf("constructs: %d IT branches, want 2\n%s", itBranches, Disassemble(p))
-		}
+	}
+	if itBranches != 2 {
+		t.Errorf("constructs: %d IT branches, want 2\n%s", itBranches, Disassemble(p))
 	}
 }
 
