@@ -399,10 +399,10 @@ type VarRef struct {
 
 	// Sym is the resolved *sema.Symbol, attached by sema.Check's slot
 	// resolution pass (typed any to avoid an import cycle, in the style of
-	// go/ast's Ident.Obj). Backends read it for direct frame-slot access
-	// instead of re-resolving the name; it is nil on synthetic references
-	// built at runtime (SRS, :{var} interpolation), which fall back to the
-	// live scope's name table.
+	// go/ast's Ident.Obj). It is the only record of the binding: every
+	// backend reads it for direct frame-slot access instead of
+	// re-resolving the name. An SRS names its variable at run time, so
+	// it has no VarRef and resolves through its SrsNames.
 	Sym any
 }
 

@@ -418,7 +418,7 @@ func (c *compiler) stmt(s ast.Stmt) (stmtFn, error) {
 }
 
 func (c *compiler) decl(n *ast.Decl) (stmtFn, error) {
-	sym := c.info.Refs[n]
+	sym, _ := n.Sym.(*sema.Symbol)
 	if sym == nil {
 		return nil, fmt.Errorf("compile: %s: unresolved declaration %s", n.Position, n.Name)
 	}
@@ -668,7 +668,7 @@ func (c *compiler) loop(n *ast.Loop) (stmtFn, error) {
 	slot := -1
 	isImplicit := false
 	if n.Var != "" {
-		sym := c.info.Refs[n]
+		sym, _ := n.Sym.(*sema.Symbol)
 		if sym == nil {
 			return nil, fmt.Errorf("compile: %s: unresolved loop variable %s", n.Position, n.Var)
 		}
@@ -729,10 +729,7 @@ func (c *compiler) loop(n *ast.Loop) (stmtFn, error) {
 }
 
 func (c *compiler) lock(n *ast.Lock) (stmtFn, error) {
-	sym := c.info.Refs[n.Var]
-	if sym == nil {
-		sym = c.scope.Names[n.Var.Name]
-	}
+	sym, _ := n.Var.Sym.(*sema.Symbol)
 	if sym == nil || sym.Lock < 0 {
 		return nil, fmt.Errorf("compile: %s: %v on %s without a lock", n.Position, n.Action, n.Var.Name)
 	}

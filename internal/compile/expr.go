@@ -268,7 +268,7 @@ func (c *compiler) yarn(n *ast.YarnLit) (exprFn, error) {
 
 // resolve returns the symbol sema bound a reference to.
 func (c *compiler) resolve(v *ast.VarRef) (*sema.Symbol, error) {
-	if s, ok := c.info.Refs[v]; ok {
+	if s, ok := v.Sym.(*sema.Symbol); ok {
 		return s, nil
 	}
 	return nil, fmt.Errorf("compile: %s: unresolved variable %s", v.Position, v.Name)

@@ -797,7 +797,7 @@ func (c *compiler) specializedLoop(n *ast.Loop, body []stmtFn) (stmtFn, bool) {
 	if n.Var == "" || n.Cond == nil {
 		return nil, false
 	}
-	sym := c.info.Refs[n]
+	sym, _ := n.Sym.(*sema.Symbol)
 	if sym == nil {
 		return nil, false
 	}

@@ -288,6 +288,18 @@ IM IN YR outer UPPIN YR i TIL BOTH SAEM i AN 2
   IM OUTTA YR inner
 IM OUTTA YR outer
 KTHXBYE`},
+	// A body that declares its loop's implicit counter name again keeps
+	// that declaration after the loop, while the loop counts, tests and
+	// restores its own counter.
+	{name: "counter_redeclared", src: `HAI 1.2
+I HAS A t ITZ 0
+IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 3
+  t R SUM OF t AN i
+  I HAS A i ITZ 5
+  i R SUM OF i AN t
+IM OUTTA YR l
+VISIBLE i " " t
+KTHXBYE`},
 	{name: "counter_interp", src: `HAI 1.2
 IM IN YR outer UPPIN YR i TIL BOTH SAEM i AN 2
   VISIBLE "outer :{i}"

@@ -315,7 +315,7 @@ func (g *gen) function(fi *sema.FuncInfo) error {
 
 // symFor resolves a reference the same way the other backends do.
 func (g *gen) symFor(v *ast.VarRef) (*sema.Symbol, error) {
-	if s, ok := g.info.Refs[v]; ok {
+	if s, ok := v.Sym.(*sema.Symbol); ok {
 		return s, nil
 	}
 	return nil, fmt.Errorf("gogen: %s: unresolved variable %s", v.Position, v.Name)

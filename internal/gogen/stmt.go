@@ -169,7 +169,7 @@ func (g *gen) stmt(s ast.Stmt) error {
 func (g *gen) itName() string { return goName(g.scope.Order[0]) }
 
 func (g *gen) decl(n *ast.Decl) error {
-	sym := g.info.Refs[n]
+	sym, _ := n.Sym.(*sema.Symbol)
 	if sym == nil {
 		return fmt.Errorf("gogen: %s: unresolved declaration %s", n.Position, n.Name)
 	}
@@ -374,7 +374,7 @@ func (g *gen) loop(n *ast.Loop) error {
 	var counter, saved string
 	var counterRaw bool
 	if n.Var != "" {
-		sym := g.info.Refs[n]
+		sym, _ := n.Sym.(*sema.Symbol)
 		if sym == nil {
 			return fmt.Errorf("gogen: %s: unresolved loop variable %s", n.Position, n.Var)
 		}

@@ -94,32 +94,24 @@ func (lx *Lexer) advance() byte {
 
 // skipBlanks consumes spaces, tabs, carriage returns, line continuations,
 // and comments that do not terminate the logical line.
-// It stops at a newline, comma, or any other token byte.
+// It stops at a newline, comma, or any other token byte. Only a byte that
+// can begin a continuation or a comment takes a prefix check.
 func (lx *Lexer) skipBlanks() {
 	for lx.off < len(lx.src) {
-		c := lx.peek()
-		switch {
-		case c == ' ' || c == '\t' || c == '\r':
-			lx.advance()
-		case c == '.' && lx.peekAt(1) == '.' && lx.peekAt(2) == '.':
-			// Line continuation: consume "..." plus trailing blanks and
-			// exactly one newline; the logical line continues.
-			lx.advance()
-			lx.advance()
-			lx.advance()
-			for lx.off < len(lx.src) {
-				b := lx.peek()
-				if b == ' ' || b == '\t' || b == '\r' {
-					lx.advance()
-					continue
-				}
-				break
+		switch rest := lx.src[lx.off:]; rest[0] {
+		case ' ', '\t', '\r':
+			lx.off++
+			lx.col++
+		case '.', "…"[0]:
+			// Line continuation: "..." or "…", blanks and exactly one
+			// newline; the logical line continues.
+			if !strings.HasPrefix(rest, "...") && !strings.HasPrefix(rest, "…") {
+				return
 			}
-			if lx.peek() == '\n' {
-				lx.advance()
+			if rest[0] == '.' {
+				lx.col += 2 // "..." takes three columns, "…" one
 			}
-		case strings.HasPrefix(lx.src[lx.off:], "…"): // '…'
-			lx.off += len("…")
+			lx.off += 3 // both marks are three bytes
 			lx.col++
 			for lx.peek() == ' ' || lx.peek() == '\t' || lx.peek() == '\r' {
 				lx.advance()
@@ -127,17 +119,19 @@ func (lx *Lexer) skipBlanks() {
 			if lx.peek() == '\n' {
 				lx.advance()
 			}
-		default:
+		case 'B':
 			if lx.startsWord("BTW") {
 				for lx.off < len(lx.src) && lx.peek() != '\n' {
 					lx.advance()
 				}
+			}
+			return
+		case 'O':
+			if !lx.atLineStart || !lx.startsWord("OBTW") {
 				return
 			}
-			if lx.atLineStart && lx.startsWord("OBTW") {
-				lx.skipBlockComment()
-				continue
-			}
+			lx.skipBlockComment()
+		default:
 			return
 		}
 	}
@@ -308,9 +302,7 @@ func (lx *Lexer) scanYarn(pos token.Pos) token.Token {
 			lx.advance()
 			switch lx.peek() {
 			case '(', '{', '[':
-				open := lx.peek()
-				closeB := map[byte]byte{'(': ')', '{': '}', '[': ']'}[open]
-				lx.advance()
+				closeB := ")}]"[strings.IndexByte("({[", lx.advance())]
 				for lx.off < len(lx.src) && lx.peek() != closeB && lx.peek() != '\n' {
 					lx.advance()
 				}
@@ -336,17 +328,15 @@ func (lx *Lexer) scanYarn(pos token.Pos) token.Token {
 }
 
 // scanWordOrKeyword scans an identifier and folds multi-word keyword
-// phrases into a single token by longest match.
+// phrases into a single token by longest match. Each word is looked up
+// once, as the matcher is fed it.
 func (lx *Lexer) scanWordOrKeyword(pos token.Pos) token.Token {
 	first := lx.scanBareWord()
-	if !token.IsKeywordWord(first) {
+	var m token.Matcher
+	if !m.Feed(first) {
 		return token.Token{Kind: token.Ident, Pos: pos, Text: first}
 	}
-
-	var m token.Matcher
-	m.Reset()
-	m.Feed(first)
-	bestKind, bestLen := m.Best()
+	bestKind, _ := m.Best()
 	bestState := lx.save()
 	wordsRead := 1
 
@@ -365,33 +355,34 @@ func (lx *Lexer) scanWordOrKeyword(pos token.Pos) token.Token {
 		}
 		wordsRead++
 		if k, l := m.Best(); l == wordsRead {
-			bestKind, bestLen = k, l
+			bestKind = k
 			bestState = lx.save()
 		}
 	}
-	_ = bestLen // tracked for clarity; the state snapshot encodes the boundary
-
+	lx.restore(bestState)
 	if bestKind == token.Illegal {
 		// Started like a keyword but no complete phrase: identifier.
-		lx.restore(bestState)
 		return token.Token{Kind: token.Ident, Pos: pos, Text: first}
 	}
-	lx.restore(bestState)
 	return token.Token{Kind: bestKind, Pos: pos}
 }
 
 func (lx *Lexer) scanBareWord() string {
 	start := lx.off
-	for lx.off < len(lx.src) && isWordByte(lx.peek()) {
-		lx.advance()
+	for lx.off < len(lx.src) && isWordByte(lx.src[lx.off]) {
+		lx.off++
 	}
+	lx.col += lx.off - start // a word holds no line break
 	return lx.src[start:lx.off]
 }
 
-// ScanAll tokenizes the whole input, always ending with an EOF token.
+// ScanAll tokenizes the whole input, always ending with an EOF token. The
+// parser pulls tokens from Next one at a time and does not call it; the
+// lexer's tests and the benchmark's lexer figure do.
 func ScanAll(file, src string) ([]token.Token, []*Error) {
 	lx := New(file, src)
-	var toks []token.Token
+	// Programs average about five bytes a token.
+	toks := make([]token.Token, 0, len(src)/4+8)
 	for {
 		t := lx.Next()
 		toks = append(toks, t)

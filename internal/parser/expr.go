@@ -7,31 +7,19 @@ import (
 	"repro/internal/value"
 )
 
-// binOps maps binary-operator keywords to their semantic operator.
-var binOps = map[token.Kind]value.BinOp{
-	token.KwSumOf:      value.OpSum,
-	token.KwDiffOf:     value.OpDiff,
-	token.KwProduktOf:  value.OpProdukt,
-	token.KwQuoshuntOf: value.OpQuoshunt,
-	token.KwModOf:      value.OpMod,
-	token.KwBiggrOf:    value.OpBiggrOf,
-	token.KwSmallrOf:   value.OpSmallrOf,
-	token.KwBigger:     value.OpBigger,
-	token.KwSmallr:     value.OpSmallr,
-	token.KwBothSaem:   value.OpBothSaem,
-	token.KwDiffrint:   value.OpDiffrint,
-	token.KwBothOf:     value.OpBothOf,
-	token.KwEitherOf:   value.OpEitherOf,
-	token.KwWonOf:      value.OpWonOf,
+// binOp maps a binary-operator keyword to its semantic operator. The
+// keywords SUM OF … WON OF are declared in value.BinOp's order.
+func binOp(k token.Kind) (value.BinOp, bool) {
+	return value.BinOp(k - token.KwSumOf), k >= token.KwSumOf && k <= token.KwWonOf
 }
 
 // parseExpr parses one expression. LOLCODE expressions are prefix-form, so
 // no precedence climbing is needed; operators consume a fixed (or
 // MKAY-terminated) number of operands.
 func (p *parser) parseExpr() ast.Expr {
-	t := p.peek()
+	t := p.tok
 
-	if op, ok := binOps[t.Kind]; ok {
+	if op, ok := binOp(t.Kind); ok {
 		p.next()
 		x := p.parseExpr()
 		// The AN separator is conventional but optional in LOLCODE-1.2.
@@ -188,8 +176,8 @@ func (p *parser) parseCall(pos token.Pos) ast.Expr {
 
 // startsExpr reports whether the next token can begin an expression.
 func (p *parser) startsExpr() bool {
-	t := p.peek()
-	if _, ok := binOps[t.Kind]; ok {
+	t := p.tok
+	if _, ok := binOp(t.Kind); ok {
 		return true
 	}
 	switch t.Kind {

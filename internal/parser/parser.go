@@ -6,10 +6,17 @@
 // usual Go style, accepts the same language, and recovers from errors at
 // statement boundaries so a teaching tool can report several diagnostics in
 // one run.
+//
+// The parser pulls tokens from the lexer one at a time, as it consumes
+// them: it never looks past the current token, so no token slice is built.
+// Its error list puts every lexical error first, in source order, then the
+// syntax errors, capped so the list holds at most maxErrors entries unless
+// the lexer alone reports more.
 package parser
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -43,25 +50,37 @@ func (l ErrorList) Error() string {
 const maxErrors = 20
 
 type parser struct {
-	toks []token.Token
-	i    int
-	errs ErrorList
+	lx   *lexer.Lexer
+	tok  token.Token // the current token
+	errs ErrorList   // syntax errors; the lexer keeps its own
 
 	inFunc bool // parsing a HOW IZ I body
 }
 
 // Parse parses a complete parallel-LOLCODE program.
 func Parse(file, src string) (*ast.Program, error) {
-	toks, lexErrs := lexer.ScanAll(file, src)
-	p := &parser{toks: toks}
-	for _, e := range lexErrs {
-		p.errs = append(p.errs, &Error{Pos: e.Pos, Msg: e.Msg})
-	}
+	p := &parser{lx: lexer.New(file, src)}
+	p.tok = p.lx.Next()
 	prog := p.parseProgram(file)
-	if len(p.errs) > 0 {
-		return prog, p.errs
+	if len(p.errs) == 0 && len(p.lx.Errors()) == 0 {
+		return prog, nil
 	}
-	return prog, nil
+	// Lex the rest for its errors; they all come first, and leave room
+	// for fewer syntax errors. The list is capped as if the parse had
+	// stopped at the first syntax error past the room left, returning no
+	// program.
+	for p.tok.Kind != token.EOF {
+		p.tok = p.lx.Next()
+	}
+	lexErrs := p.lx.Errors()
+	if keep := max(maxErrors-len(lexErrs), 0); len(p.errs) > keep {
+		p.errs, prog = p.errs[:keep], nil
+	}
+	errs := make(ErrorList, 0, len(lexErrs)+len(p.errs))
+	for _, e := range lexErrs {
+		errs = append(errs, &Error{Pos: e.Pos, Msg: e.Msg})
+	}
+	return prog, append(errs, p.errs...)
 }
 
 type bailout struct{}
@@ -73,14 +92,12 @@ func (p *parser) errorf(pos token.Pos, format string, args ...any) {
 	p.errs = append(p.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
 }
 
-func (p *parser) peek() token.Token { return p.toks[p.i] }
-
-func (p *parser) at(k token.Kind) bool { return p.toks[p.i].Kind == k }
+func (p *parser) at(k token.Kind) bool { return p.tok.Kind == k }
 
 func (p *parser) next() token.Token {
-	t := p.toks[p.i]
+	t := p.tok
 	if t.Kind != token.EOF {
-		p.i++
+		p.tok = p.lx.Next()
 	}
 	return t
 }
@@ -97,7 +114,7 @@ func (p *parser) expect(k token.Kind) token.Token {
 	if p.at(k) {
 		return p.next()
 	}
-	t := p.peek()
+	t := p.tok
 	p.errorf(t.Pos, "expected %v, found %v", k, t)
 	return token.Token{Kind: k, Pos: t.Pos}
 }
@@ -126,7 +143,7 @@ func (p *parser) endOfStmt() {
 	if p.at(token.EOF) {
 		return
 	}
-	t := p.peek()
+	t := p.tok
 	p.errorf(t.Pos, "unexpected %v at end of statement", t)
 	p.sync()
 }
@@ -145,31 +162,30 @@ func (p *parser) parseProgram(file string) *ast.Program {
 
 	hai := p.expect(token.KwHai)
 	prog.HaiPos = hai.Pos
-	switch p.peek().Kind {
+	switch p.tok.Kind {
 	case token.NumbarLit, token.NumbrLit:
 		prog.Version = p.next().Text
 	}
 	p.endOfStmt()
 
-	stop := map[token.Kind]bool{token.KwKthxbye: true}
-	prog.Body = p.parseStmts(stop, prog)
+	prog.Body = p.parseStmts([]token.Kind{token.KwKthxbye}, prog)
 
 	p.expect(token.KwKthxbye)
 	p.skipNewlines()
 	if !p.at(token.EOF) {
-		p.errorf(p.peek().Pos, "trailing input after KTHXBYE")
+		p.errorf(p.tok.Pos, "trailing input after KTHXBYE")
 	}
 	return prog
 }
 
 // parseStmts parses statements until a token in stop (or EOF). HOW IZ I
 // declarations are hoisted into prog.Funcs when prog is non-nil (top level).
-func (p *parser) parseStmts(stop map[token.Kind]bool, prog *ast.Program) []ast.Stmt {
+func (p *parser) parseStmts(stop []token.Kind, prog *ast.Program) []ast.Stmt {
 	var out []ast.Stmt
 	for {
 		p.skipNewlines()
-		t := p.peek()
-		if t.Kind == token.EOF || stop[t.Kind] {
+		t := p.tok
+		if t.Kind == token.EOF || slices.Contains(stop, t.Kind) {
 			return out
 		}
 		s := p.parseStmt(stop, prog)
@@ -183,8 +199,8 @@ func (p *parser) parseStmts(stop map[token.Kind]bool, prog *ast.Program) []ast.S
 	}
 }
 
-func (p *parser) parseStmt(stop map[token.Kind]bool, prog *ast.Program) ast.Stmt {
-	t := p.peek()
+func (p *parser) parseStmt(stop []token.Kind, prog *ast.Program) ast.Stmt {
+	t := p.tok
 	switch t.Kind {
 	case token.KwCanHas:
 		return p.parseCanHas(prog)
@@ -236,7 +252,7 @@ func (p *parser) parseStmt(stop map[token.Kind]bool, prog *ast.Program) ast.Stmt
 func (p *parser) parseCanHas(prog *ast.Program) ast.Stmt {
 	t := p.expect(token.KwCanHas)
 	var lib string
-	switch p.peek().Kind {
+	switch p.tok.Kind {
 	case token.Ident:
 		lib = p.next().Text
 	default:
@@ -279,7 +295,7 @@ func (p *parser) parseGimmeh() ast.Stmt {
 // parseElemType parses a scalar type name in array-declaration position,
 // where the paper pluralizes it ("LOTZ A NUMBRS").
 func (p *parser) parseElemType() value.Kind {
-	t := p.peek()
+	t := p.tok
 	switch t.Kind {
 	case token.KwNumbr:
 		p.next()
@@ -315,7 +331,7 @@ func (p *parser) parseElemType() value.Kind {
 }
 
 func (p *parser) parseScalarType() value.Kind {
-	t := p.peek()
+	t := p.tok
 	switch t.Kind {
 	case token.KwNumbr:
 		p.next()
@@ -347,7 +363,7 @@ func (p *parser) parseDecl() ast.Stmt {
 	name := p.expect(token.Ident)
 	d.Name = name.Text
 
-	switch p.peek().Kind {
+	switch p.tok.Kind {
 	case token.KwItz:
 		p.next()
 		d.Init = p.parseExpr()
@@ -376,7 +392,7 @@ func (p *parser) parseDecl() ast.Stmt {
 	// Multi-clause extensions: AN THAR IZ size, AN ITZ init, AN IM SHARIN IT.
 clauses:
 	for {
-		switch p.peek().Kind {
+		switch p.tok.Kind {
 		case token.KwAnTharIz:
 			pos := p.next().Pos
 			if !d.IsArray {
@@ -386,7 +402,7 @@ clauses:
 		case token.KwAnItz:
 			p.next()
 			if d.Init != nil {
-				p.errorf(p.peek().Pos, "duplicate initializer clause")
+				p.errorf(p.tok.Pos, "duplicate initializer clause")
 			}
 			d.Init = p.parseExpr()
 		case token.KwAnImSharinIt:
@@ -406,9 +422,9 @@ clauses:
 // parseRefStmt handles statements that begin with a variable reference:
 // assignment, IS NOW A, or a bare expression statement.
 func (p *parser) parseRefStmt() ast.Stmt {
-	t := p.peek()
+	t := p.tok
 	ref := p.parseRef()
-	switch p.peek().Kind {
+	switch p.tok.Kind {
 	case token.KwR:
 		p.next()
 		val := p.parseExpr()
@@ -427,7 +443,7 @@ func (p *parser) parseRefStmt() ast.Stmt {
 
 // parseRef parses `[UR|MAH] name ['Z index]` or `SRS expr`.
 func (p *parser) parseRef() ast.Expr {
-	t := p.peek()
+	t := p.tok
 	space := ast.SpaceDefault
 	switch t.Kind {
 	case token.KwUr:
@@ -445,7 +461,7 @@ func (p *parser) parseRef() ast.Expr {
 	}
 
 	var v *ast.VarRef
-	switch p.peek().Kind {
+	switch p.tok.Kind {
 	case token.Ident:
 		id := p.next()
 		v = &ast.VarRef{Position: id.Pos, Name: id.Text, Space: space}
@@ -453,8 +469,8 @@ func (p *parser) parseRef() ast.Expr {
 		pos := p.next().Pos
 		v = &ast.VarRef{Position: pos, Name: "IT", Space: space}
 	default:
-		p.errorf(p.peek().Pos, "expected a variable name, found %v", p.peek())
-		return &ast.NoobLit{Position: p.peek().Pos}
+		p.errorf(p.tok.Pos, "expected a variable name, found %v", p.tok)
+		return &ast.NoobLit{Position: p.tok.Pos}
 	}
 
 	if p.at(token.IndexZ) {
@@ -471,10 +487,7 @@ func (p *parser) parseIf() ast.Stmt {
 	p.skipNewlines()
 
 	n := &ast.If{Position: t.Pos}
-	stop := map[token.Kind]bool{
-		token.KwMebbe: true, token.KwNoWai: true, token.KwOic: true,
-		token.KwKthxbye: true,
-	}
+	stop := []token.Kind{token.KwMebbe, token.KwNoWai, token.KwOic, token.KwKthxbye}
 	// YA RLY is optional: the paper's §V lock fragment writes
 	// `O RLY? NO WAI, … OIC` with no YA RLY arm.
 	if p.accept(token.KwYaRly) {
@@ -504,10 +517,7 @@ func (p *parser) parseSwitch() ast.Stmt {
 	p.skipNewlines()
 
 	n := &ast.Switch{Position: t.Pos}
-	stop := map[token.Kind]bool{
-		token.KwOmg: true, token.KwOmgwtf: true, token.KwOic: true,
-		token.KwKthxbye: true,
-	}
+	stop := []token.Kind{token.KwOmg, token.KwOmgwtf, token.KwOic, token.KwKthxbye}
 	for p.at(token.KwOmg) {
 		cp := p.next().Pos
 		lit := p.parseLiteral()
@@ -529,7 +539,7 @@ func (p *parser) parseSwitch() ast.Stmt {
 
 // parseLiteral parses the literal after OMG.
 func (p *parser) parseLiteral() ast.Expr {
-	t := p.peek()
+	t := p.tok
 	switch t.Kind {
 	case token.NumbrLit, token.NumbarLit, token.YarnLit, token.KwWin, token.KwFail, token.KwNoob:
 		return p.parseExpr()
@@ -544,7 +554,7 @@ func (p *parser) parseLoop() ast.Stmt {
 	label := p.expect(token.Ident)
 	n := &ast.Loop{Position: t.Pos, Label: label.Text}
 
-	switch p.peek().Kind {
+	switch p.tok.Kind {
 	case token.KwUppin:
 		p.next()
 		n.Op = ast.LoopUppin
@@ -556,7 +566,7 @@ func (p *parser) parseLoop() ast.Stmt {
 		p.expect(token.KwYr)
 		n.Var = p.expect(token.Ident).Text
 	}
-	switch p.peek().Kind {
+	switch p.tok.Kind {
 	case token.KwTil:
 		p.next()
 		n.CondKind = ast.CondTil
@@ -568,8 +578,7 @@ func (p *parser) parseLoop() ast.Stmt {
 	}
 	p.endOfStmt()
 
-	stop := map[token.Kind]bool{token.KwImOuttaYr: true, token.KwKthxbye: true}
-	n.Body = p.parseStmts(stop, nil)
+	n.Body = p.parseStmts([]token.Kind{token.KwImOuttaYr, token.KwKthxbye}, nil)
 
 	p.expect(token.KwImOuttaYr)
 	end := p.expect(token.Ident)
@@ -603,8 +612,7 @@ func (p *parser) parseFuncDecl() ast.Stmt {
 	p.endOfStmt()
 
 	p.inFunc = true
-	stop := map[token.Kind]bool{token.KwIfUSaySo: true, token.KwKthxbye: true}
-	fd.Body = p.parseStmts(stop, nil)
+	fd.Body = p.parseStmts([]token.Kind{token.KwIfUSaySo, token.KwKthxbye}, nil)
 	p.inFunc = false
 
 	p.expect(token.KwIfUSaySo)
@@ -617,7 +625,7 @@ func (p *parser) parseLock(action ast.LockAction) ast.Stmt {
 	// Optional UR/MAH qualifier: the lock object is global per symbol, so
 	// the qualifier is accepted and recorded but does not change semantics.
 	space := ast.SpaceDefault
-	switch p.peek().Kind {
+	switch p.tok.Kind {
 	case token.KwUr:
 		p.next()
 		space = ast.SpaceUr
@@ -631,14 +639,13 @@ func (p *parser) parseLock(action ast.LockAction) ast.Stmt {
 	return &ast.Lock{Position: t.Pos, Action: action, Var: v}
 }
 
-func (p *parser) parseTxt(stop map[token.Kind]bool, prog *ast.Program) ast.Stmt {
+func (p *parser) parseTxt(stop []token.Kind, prog *ast.Program) ast.Stmt {
 	t := p.expect(token.KwTxtMahBff)
 	target := p.parseExpr()
 
 	if p.accept(token.KwAnStuff) {
 		p.endOfStmt()
-		inner := map[token.Kind]bool{token.KwTtyl: true, token.KwKthxbye: true}
-		body := p.parseStmts(inner, nil)
+		body := p.parseStmts([]token.Kind{token.KwTtyl, token.KwKthxbye}, nil)
 		p.expect(token.KwTtyl)
 		p.endOfStmt()
 		return &ast.TxtBlock{Position: t.Pos, Target: target, Body: body}
@@ -650,7 +657,7 @@ func (p *parser) parseTxt(stop map[token.Kind]bool, prog *ast.Program) ast.Stmt 
 		p.next()
 	}
 	p.skipNewlines()
-	if p.at(token.EOF) || stop[p.peek().Kind] {
+	if p.at(token.EOF) || slices.Contains(stop, p.tok.Kind) {
 		p.errorf(t.Pos, "TXT MAH BFF needs a statement to predicate")
 		return &ast.TxtStmt{Position: t.Pos, Target: target,
 			Stmt: &ast.ExprStmt{Position: t.Pos, X: &ast.NoobLit{Position: t.Pos}}}

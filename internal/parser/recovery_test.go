@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -116,5 +117,73 @@ func TestTokenPhraseTable(t *testing.T) {
 		if phrase != strings.ToUpper(phrase) {
 			t.Errorf("phrase %q is not upper-case", phrase)
 		}
+	}
+}
+
+// TestErrorOrderAcrossLexerAndParser pins the error list when lexical
+// errors come after the syntax errors that fill it: every lexical error
+// still comes first, in source order, then as many syntax errors as the
+// cap leaves room for, and a parse the cap stopped returns no program.
+func TestErrorOrderAcrossLexerAndParser(t *testing.T) {
+	for _, yarns := range []int{3, 19, 20, 22} {
+		var b strings.Builder
+		b.WriteString("HAI 1.2\n")
+		for i := 0; i < 25; i++ {
+			b.WriteString("GIMMEH 42\n") // line i+2
+		}
+		for i := 0; i < yarns; i++ {
+			b.WriteString("VISIBLE \"open\n") // line 27+i
+		}
+		b.WriteString("KTHXBYE\n")
+
+		var want []string
+		for i := 0; i < yarns; i++ {
+			want = append(want, fmt.Sprintf("t.lol:%d:9: unterminated YARN literal", 27+i))
+		}
+		// Each GIMMEH 42 is two syntax errors.
+		for i := 0; len(want) < maxErrors; i++ {
+			msg := `expected a variable name, found NUMBR_LIT("42")`
+			if i%2 == 1 {
+				msg = `unexpected NUMBR_LIT("42") at end of statement`
+			}
+			want = append(want, fmt.Sprintf("t.lol:%d:8: %s", 2+i/2, msg))
+		}
+
+		prog, err := Parse("t.lol", b.String())
+		list, ok := err.(ErrorList)
+		if !ok {
+			t.Fatalf("%d YARNs: error %T, want ErrorList", yarns, err)
+		}
+		var got []string
+		for _, e := range list {
+			got = append(got, e.Error())
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%d YARNs: errors\n%s\nwant\n%s", yarns, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+		wantText := fmt.Sprintf("%s (and %d more errors)", want[0], len(want)-1)
+		if err.Error() != wantText {
+			t.Errorf("%d YARNs: Error() = %q, want %q", yarns, err.Error(), wantText)
+		}
+		if prog != nil {
+			t.Errorf("%d YARNs: the cap stopped the parse, but it returned a program", yarns)
+		}
+	}
+}
+
+// TestBinOpKeywords checks that binOp maps each binary-operator keyword
+// to the operator of the same name, and no other keyword to one.
+func TestBinOpKeywords(t *testing.T) {
+	ops := 0
+	for kind, phrase := range token.Phrases {
+		if op, ok := binOp(kind); ok {
+			ops++
+			if op.String() != phrase {
+				t.Errorf("binOp(%v) = %v", kind, op)
+			}
+		}
+	}
+	if ops != 14 {
+		t.Errorf("binOp maps %d keywords, want the 14 from SUM OF to WON OF", ops)
 	}
 }

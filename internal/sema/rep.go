@@ -34,6 +34,7 @@ func (info *Info) inferReps() {
 func (info *Info) inferFrame(scope *Scope, body []ast.Stmt) {
 	u := &frameUses{syms: make([]symUse, len(scope.Order))}
 	u.stmts(body)
+	scope.Srs, scope.Nodes = u.srs, u.nodes
 	// Declaration order: an Init reads only symbols declared before it,
 	// so their optimistic reps are already in place.
 	for _, sym := range scope.Order {
@@ -111,8 +112,7 @@ func (info *Info) declKind(d *ast.Decl) (value.Kind, bool) {
 
 func isNumeric(k value.Kind) bool { return k == value.Numbr || k == value.Numbar }
 
-// symOf is the symbol the checker resolved v to (the same one Refs
-// holds), or nil.
+// symOf is the symbol the checker resolved v to, or nil.
 func symOf(v *ast.VarRef) *Symbol {
 	sym, _ := v.Sym.(*Symbol)
 	return sym
@@ -124,6 +124,7 @@ type frameUses struct {
 	syms     []symUse // by slot
 	srs      bool     // the frame has an SRS
 	srsWrite bool     // the frame has an SRS target
+	nodes    int      // the AST nodes visited
 }
 
 type symUse struct {
@@ -182,6 +183,7 @@ func (u *frameUses) target(e ast.Expr) *symUse {
 // visit records one node's uses for ast.Walk, and scans the statement
 // lists below it itself so each is its own dominance region.
 func (u *frameUses) visit(n ast.Node) bool {
+	u.nodes++
 	switch x := n.(type) {
 	case *ast.VarRef:
 		u.ref(symOf(x))

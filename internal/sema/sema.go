@@ -145,6 +145,13 @@ type Scope struct {
 	Names map[string]*Symbol
 	Order []*Symbol // slot order
 	Depth int       // lexical frame depth: 0 = main, 1 = function body
+
+	// Srs reports whether the frame's body holds an SRS, which can name
+	// any of its variables at run time, and Nodes how many AST nodes the
+	// body holds, by which a code generator can size its output. Both are
+	// set once Check succeeds.
+	Srs   bool
+	Nodes int
 }
 
 func newScope(depth int) *Scope {
@@ -192,10 +199,6 @@ type Info struct {
 	Main  *Scope
 	Funcs map[string]*FuncInfo
 
-	// Refs annotates resolved nodes with their symbols: *ast.VarRef
-	// references, *ast.Decl declarations, and *ast.Loop counter variables.
-	Refs map[ast.Node]*Symbol
-
 	// Shared lists the symmetric symbols in declaration order: the
 	// symmetric heap layout shared by every PE (paper Figure 1).
 	Shared []*Symbol
@@ -231,7 +234,6 @@ func Check(prog *ast.Program) (*Info, error) {
 			Prog:  prog,
 			Main:  newScope(0),
 			Funcs: make(map[string]*FuncInfo),
-			Refs:  make(map[ast.Node]*Symbol),
 		},
 	}
 
@@ -423,7 +425,6 @@ func (c *checker) decl(n *ast.Decl) {
 		c.info.Locks = append(c.info.Locks, sym)
 	}
 	c.scope.declare(sym)
-	c.info.Refs[n] = sym
 	n.Sym = sym
 
 	if n.Size != nil {
@@ -443,14 +444,12 @@ func (c *checker) loop(n *ast.Loop) {
 	var implicit *Symbol
 	if n.Var != "" {
 		if existing, ok := c.scope.Names[n.Var]; ok {
-			c.info.Refs[n] = existing
 			n.Sym = existing
 		} else {
 			// The paper's n-body listing uses undeclared loop counters; they
 			// are implicitly declared as NUMBR 0 for the loop's duration.
 			implicit = &Symbol{Name: n.Var, Kind: SymLoopVar, Type: value.Numbr, Heap: -1, Lock: -1}
 			c.scope.declare(implicit)
-			c.info.Refs[n] = implicit
 			n.Sym = implicit
 		}
 	}
@@ -465,8 +464,12 @@ func (c *checker) loop(n *ast.Loop) {
 	c.loopDepth--
 	if implicit != nil {
 		// The name stays in the frame (slots are stable) but is no longer
-		// visible for resolution outside the loop.
-		delete(c.scope.Names, n.Var)
+		// visible for resolution outside the loop, unless the body
+		// declared it again: that declaration has run, and scoping is
+		// function-flat.
+		if c.scope.Names[n.Var] == implicit {
+			delete(c.scope.Names, n.Var)
+		}
 		c.counters = c.counters[:len(c.counters)-1]
 	}
 	c.topLevel = saved
@@ -539,7 +542,7 @@ func (c *checker) expr(e ast.Expr) {
 	case *ast.YarnLit:
 		for _, r := range n.Refs {
 			if sym, ok := c.scope.Names[r.Name]; ok {
-				c.bind(r, sym)
+				r.Sym = sym
 			} else {
 				c.late = append(c.late, r)
 			}
@@ -566,17 +569,12 @@ func (c *checker) srs(n *ast.Srs) {
 func (c *checker) bindLate() {
 	for _, r := range c.late {
 		if sym, ok := c.scope.Names[r.Name]; ok {
-			c.bind(r, sym)
+			r.Sym = sym
 		} else {
 			c.errorf(r.Position, "variable %s has not been declared", r.Name)
 		}
 	}
 	c.late = nil
-}
-
-func (c *checker) bind(v *ast.VarRef, sym *Symbol) {
-	c.info.Refs[v] = sym
-	v.Sym = sym
 }
 
 // resolve binds a VarRef to its symbol, enforcing the UR/MAH predication
@@ -591,7 +589,7 @@ func (c *checker) resolve(v *ast.VarRef) *Symbol {
 	if v.Space == ast.SpaceUr && sym.Kind != SymShared {
 		c.errorf(v.Position, "UR %s: only WE HAS A symmetric variables are remotely addressable", v.Name)
 	}
-	c.bind(v, sym)
+	v.Sym = sym
 	return sym
 }
 

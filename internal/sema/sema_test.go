@@ -221,15 +221,20 @@ KTHXBYE`)
 		}
 	}
 
-	// Every resolved node must carry the same *Symbol the Refs table has.
+	// Every resolved node must carry the *Symbol its frame holds at the
+	// symbol's slot.
 	annotated := 0
 	ast.Walk(prog, func(n ast.Node) bool {
 		if v, ok := n.(*ast.VarRef); ok {
 			sym, _ := v.Sym.(*sema.Symbol)
+			frame := info.Main
+			if sym != nil && sym.Depth == 1 {
+				frame = info.Funcs["f"].Scope
+			}
 			if sym == nil {
 				t.Errorf("VarRef %s at %s not annotated", v.Name, v.Position)
-			} else if info.Refs[v] != sym {
-				t.Errorf("VarRef %s annotation disagrees with Refs", v.Name)
+			} else if frame.Order[sym.Slot] != sym {
+				t.Errorf("VarRef %s annotation is not its frame's slot %d symbol", v.Name, sym.Slot)
 			}
 			annotated++
 		}
@@ -272,7 +277,7 @@ KTHXBYE`)
 		if y, ok := n.(*ast.YarnLit); ok {
 			for _, r := range y.Refs {
 				refs++
-				if sym, _ := r.Sym.(*sema.Symbol); sym == nil || sym.Kind != want[r.Name] || info.Refs[r] != sym {
+				if sym, _ := r.Sym.(*sema.Symbol); sym == nil || sym.Kind != want[r.Name] || info.Main.Order[sym.Slot] != sym {
 					t.Errorf(":{%s} bound to %v", r.Name, r.Sym)
 				}
 			}
@@ -281,5 +286,62 @@ KTHXBYE`)
 	})
 	if refs != 3 {
 		t.Errorf("found %d :{var} references, want 3", refs)
+	}
+}
+
+// TestCounterRedeclaredInBody checks that the end of an implicit-counter
+// loop hides the counter's name only while the name still means the
+// counter: a declaration of that name in the body has run, and scoping
+// is function-flat, so the name resolves to it after the loop.
+func TestCounterRedeclaredInBody(t *testing.T) {
+	prog, err := parser.Parse("t.lol", `HAI 1.2
+I HAS A t ITZ 0
+IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 3
+  t R SUM OF t AN i
+  I HAS A i ITZ 5
+  i R SUM OF i AN t
+IM OUTTA YR l
+VISIBLE i " " t
+KTHXBYE`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := sema.Check(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loop := prog.Body[1].(*ast.Loop)
+	if sym := loop.Sym.(*sema.Symbol); sym.Kind != sema.SymLoopVar {
+		t.Errorf("loop counts %v, want the implicit counter", sym.Kind)
+	}
+	after := prog.Body[2].(*ast.Visible).Args[0].(*ast.VarRef).Sym.(*sema.Symbol)
+	if after.Kind != sema.SymPrivate || after != info.Main.Names["i"] {
+		t.Errorf("i after the loop resolves to a %v symbol, want the body's declaration", after.Kind)
+	}
+}
+
+// TestFrameFacts checks the per-frame facts Check records for code
+// generators: whether the body holds an SRS, and its AST node count.
+func TestFrameFacts(t *testing.T) {
+	prog, err := parser.Parse("t.lol", `HAI 1.2
+HOW IZ I f YR p
+  FOUND YR SRS "p"
+IF U SAY SO
+I HAS A x ITZ SUM OF 1 AN 2
+VISIBLE x
+KTHXBYE`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := sema.Check(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := info.Funcs["f"].Scope
+	// Main: the Decl, SUM OF and its two literals, VISIBLE and x. f: the
+	// FOUND YR, the SRS and its YARN.
+	if info.Main.Srs || info.Main.Nodes != 6 || !f.Srs || f.Nodes != 3 {
+		t.Errorf("main srs=%v nodes=%d, f srs=%v nodes=%d; want false 6, true 3",
+			info.Main.Srs, info.Main.Nodes, f.Srs, f.Nodes)
 	}
 }

@@ -4,89 +4,86 @@ import "strings"
 
 // trieNode is one level of the multi-word keyword trie. Each edge is a
 // single upper-case word; a node with kind != Illegal terminates a phrase.
+// A node has few children, so they are a slice searched in order.
 type trieNode struct {
 	kind Kind // Illegal when this node does not end a keyword phrase
-	next map[string]*trieNode
+	next []trieEdge
 }
 
-var root *trieNode
+type trieEdge struct {
+	word string
+	node *trieNode
+}
+
+// roots holds the first words of the keyword phrases, bucketed by their
+// first letter. Every keyword word is upper-case, so a word starting with
+// any other byte begins no phrase.
+var roots [26][]trieEdge
 
 func init() {
-	root = &trieNode{kind: Illegal}
 	for kind, phrase := range Phrases {
-		n := root
+		edges := &roots[phrase[0]-'A']
+		var n *trieNode
 		for _, w := range strings.Fields(phrase) {
-			if n.next == nil {
-				n.next = make(map[string]*trieNode)
-			}
-			child, ok := n.next[w]
-			if !ok {
-				child = &trieNode{kind: Illegal}
-				n.next[w] = child
-			}
-			n = child
+			n = child(edges, w)
+			edges = &n.next
 		}
 		n.kind = kind
 	}
 }
 
-// Matcher performs incremental longest-match keyword recognition.
-// The lexer feeds it one word at a time; the matcher tracks the longest
-// complete phrase seen so far and how many words past it have been consumed.
-type Matcher struct {
-	node     *trieNode
-	best     Kind // longest complete phrase so far (Illegal if none)
-	bestLen  int  // words in best
-	consumed int  // words fed since Reset
+// child returns the node under the edge labelled w, adding it if absent.
+func child(edges *[]trieEdge, w string) *trieNode {
+	for _, e := range *edges {
+		if e.word == w {
+			return e.node
+		}
+	}
+	n := &trieNode{kind: Illegal}
+	*edges = append(*edges, trieEdge{w, n})
+	return n
 }
 
-// Reset prepares the matcher for a new phrase.
-func (m *Matcher) Reset() {
-	m.node = root
-	m.best = Illegal
-	m.bestLen = 0
-	m.consumed = 0
+// Matcher performs incremental longest-match keyword recognition.
+// The lexer feeds it one word at a time; the matcher tracks the longest
+// complete phrase seen so far and how many words past it have been
+// consumed. The zero Matcher is ready for a new phrase.
+type Matcher struct {
+	node     *trieNode // nil until the first word matches
+	best     Kind      // longest complete phrase so far (Illegal if none)
+	bestLen  int       // words in best
+	consumed int       // words fed
 }
 
 // Feed advances the matcher with the next word. It returns false when the
 // word does not extend any keyword phrase, at which point the caller should
-// consult Best for the longest complete phrase seen.
+// consult Best for the longest complete phrase seen. A first word costs one
+// search of its letter's bucket, and none when it does not start with an
+// upper-case letter.
 func (m *Matcher) Feed(word string) bool {
-	if m.node == nil {
-		m.Reset()
+	var edges []trieEdge
+	if m.node != nil {
+		edges = m.node.next
+	} else if word != "" && word[0] >= 'A' && word[0] <= 'Z' {
+		edges = roots[word[0]-'A']
 	}
-	child, ok := m.node.next[word]
-	if !ok {
-		return false
+	for _, e := range edges {
+		if e.word == word {
+			m.node = e.node
+			m.consumed++
+			if e.node.kind != Illegal {
+				m.best = e.node.kind
+				m.bestLen = m.consumed
+			}
+			return true
+		}
 	}
-	m.node = child
-	m.consumed++
-	if child.kind != Illegal {
-		m.best = child.kind
-		m.bestLen = m.consumed
-	}
-	return true
+	return false
 }
 
 // CanExtend reports whether a longer phrase is still possible.
-func (m *Matcher) CanExtend() bool { return m.node != nil && len(m.node.next) > 0 }
+func (m *Matcher) CanExtend() bool { return m.node == nil || len(m.node.next) > 0 }
 
 // Best returns the longest complete keyword phrase matched so far and the
 // number of words it spans. Kind is Illegal when no phrase matched.
 func (m *Matcher) Best() (Kind, int) { return m.best, m.bestLen }
-
-// LookupWord returns the keyword kind for a single-word phrase, or Illegal.
-func LookupWord(w string) Kind {
-	if n, ok := root.next[w]; ok {
-		return n.kind
-	}
-	return Illegal
-}
-
-// IsKeywordWord reports whether w begins at least one keyword phrase.
-// Identifiers that collide with such words are still permitted by the
-// grammar in positions where no keyword can begin.
-func IsKeywordWord(w string) bool {
-	_, ok := root.next[w]
-	return ok
-}

@@ -1,38 +1,60 @@
 package token
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
-func TestLookupWord(t *testing.T) {
-	if got := LookupWord("HUGZ"); got != KwHugz {
-		t.Errorf("LookupWord(HUGZ) = %v", got)
-	}
-	if got := LookupWord("ME"); got != KwMe {
-		t.Errorf("LookupWord(ME) = %v", got)
+// feedOne feeds w to a fresh Matcher and reports whether it begins a
+// phrase, and the kind of the one-word phrase it completes (or Illegal).
+func feedOne(w string) (bool, Kind) {
+	var m Matcher
+	ok := m.Feed(w)
+	kind, _ := m.Best()
+	return ok, kind
+}
+
+func TestMatcherSingleWord(t *testing.T) {
+	for w, want := range map[string]Kind{"HUGZ": KwHugz, "ME": KwMe, "A": KwA, "R": KwR} {
+		if ok, got := feedOne(w); !ok || got != want {
+			t.Errorf("Feed(%s) = %v, %v; want true, %v", w, ok, got, want)
+		}
 	}
 	// Words that only begin longer phrases are not complete keywords.
-	if got := LookupWord("BOTH"); got != Illegal {
-		t.Errorf("LookupWord(BOTH) = %v, want Illegal", got)
+	for _, w := range []string{"BOTH", "IM", "TXT", "SUM", "I", "WE"} {
+		if ok, got := feedOne(w); !ok || got != Illegal {
+			t.Errorf("Feed(%s) = %v, %v; want true, Illegal", w, ok, got)
+		}
 	}
-	if got := LookupWord("kitteh"); got != Illegal {
-		t.Errorf("LookupWord(kitteh) = %v, want Illegal", got)
+	// Words that begin no phrase, upper-case or not, are rejected.
+	for _, w := range []string{"CHEEZBURGER", "kitteh", "hugz", "Im", "_", "", "SRSLY", "OF"} {
+		if ok, got := feedOne(w); ok || got != Illegal {
+			t.Errorf("Feed(%q) = %v, %v; want false, Illegal", w, ok, got)
+		}
 	}
 }
 
-func TestIsKeywordWord(t *testing.T) {
-	for _, w := range []string{"BOTH", "IM", "TXT", "SUM", "HUGZ", "I", "WE"} {
-		if !IsKeywordWord(w) {
-			t.Errorf("IsKeywordWord(%s) = false", w)
-		}
+// TestMatcherFirstWords checks the first-letter buckets against the
+// phrase table: every phrase's first word starts a phrase, and a word
+// that starts none is rejected whatever its first letter.
+func TestMatcherFirstWords(t *testing.T) {
+	first := map[string]bool{}
+	for _, phrase := range Phrases {
+		first[strings.Fields(phrase)[0]] = true
 	}
-	if IsKeywordWord("CHEEZBURGER") {
-		t.Error("IsKeywordWord(CHEEZBURGER) = true")
+	for w := range first {
+		if ok, _ := feedOne(w); !ok {
+			t.Errorf("Feed(%s) = false; it begins a phrase", w)
+		}
+		if ok, _ := feedOne(w + "Z"); ok && !first[w+"Z"] {
+			t.Errorf("Feed(%sZ) = true; it begins no phrase", w)
+		}
 	}
 }
 
 func TestMatcherLongestMatch(t *testing.T) {
 	// "IM SRSLY MESIN WIF" must win over the shorter "IM MESIN WIF" path.
 	var m Matcher
-	m.Reset()
 	for _, w := range []string{"IM", "SRSLY", "MESIN", "WIF"} {
 		if !m.Feed(w) {
 			t.Fatalf("Feed(%s) failed", w)
@@ -47,7 +69,6 @@ func TestMatcherLongestMatch(t *testing.T) {
 func TestMatcherTracksIntermediateBest(t *testing.T) {
 	// Feeding "ITZ SRSLY" then a dead end must report the 1-word "ITZ".
 	var m Matcher
-	m.Reset()
 	if !m.Feed("ITZ") {
 		t.Fatal("Feed(ITZ) failed")
 	}
@@ -65,7 +86,6 @@ func TestMatcherTracksIntermediateBest(t *testing.T) {
 
 func TestMatcherCanExtend(t *testing.T) {
 	var m Matcher
-	m.Reset()
 	m.Feed("AN")
 	if !m.CanExtend() {
 		t.Error("AN begins AN THAR IZ / AN ITZ / AN IM SHARIN IT / AN STUFF; CanExtend should be true")

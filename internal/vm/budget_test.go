@@ -76,10 +76,39 @@ IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 4
 IM OUTTA YR l
 KTHXBYE`
 
-// TestStepBudgetPinned pins, for each E1 kernel and for orlyMebbeSrc, the
-// smallest completing budget. Every instruction weighs the stack
-// instructions a plain compilation of what it covers would execute, so
-// no lowering of word ops or branches may move it. At that boundary the
+// nestedArmSrc and gtfoArmSrc end an O RLY?'s only arm where the jump
+// past the construct must stay: after a nested O RLY?, whose branch lands
+// past the arm's last instruction, and after a GTFO, whose jump does not
+// fall through. Folding that jump's weight into the arm's last
+// instruction would move their pins.
+const nestedArmSrc = `HAI 1.2
+IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 4
+  BIGGER i AN 0, O RLY?
+  YA RLY
+    VISIBLE "pos"
+    DIFFRINT i AN 2, O RLY?
+    YA RLY
+      VISIBLE "not two"
+    OIC
+  OIC
+IM OUTTA YR l
+KTHXBYE`
+
+const gtfoArmSrc = `HAI 1.2
+IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 9
+  VISIBLE i
+  BOTH SAEM i AN 3, O RLY?
+  YA RLY
+    VISIBLE "stop"
+    GTFO
+  OIC
+IM OUTTA YR l
+KTHXBYE`
+
+// TestStepBudgetPinned pins, for each E1 kernel and for the O RLY?
+// programs above, the smallest completing budget. Every instruction
+// weighs the stack instructions a plain compilation of what it covers
+// would execute, so no lowering of word ops or branches may move it. At that boundary the
 // run prints the same bodies as the unlimited run, and one step less
 // kills it.
 func TestStepBudgetPinned(t *testing.T) {
@@ -92,6 +121,8 @@ func TestStepBudgetPinned(t *testing.T) {
 		"nbody":      {experiments.GenNBody(4, 1), 2, 2290},
 		"arith":      {experiments.GenArithLoop(100), 1, 1314},
 		"orly_mebbe": {orlyMebbeSrc, 1, 80},
+		"nested_arm": {nestedArmSrc, 1, 90},
+		"gtfo_arm":   {gtfoArmSrc, 1, 62},
 	}
 	for name, k := range kernels {
 		t.Run(name, func(t *testing.T) {

@@ -34,7 +34,7 @@ func Compile(info *sema.Info) (*Program, error) {
 		if fi == nil || fi.Decl != fd {
 			continue
 		}
-		c := &compiler{info: info, prog: p, chunk: p.Funcs[p.funcIdx[fd.Name]], scope: fi.Scope, inFunc: true, srs: usesSrs(fd.Body)}
+		c := &compiler{info: info, prog: p, chunk: p.Funcs[p.funcIdx[fd.Name]], scope: fi.Scope, inFunc: true}
 		if err := c.stmts(fd.Body); err != nil {
 			return nil, err
 		}
@@ -42,7 +42,7 @@ func Compile(info *sema.Info) (*Program, error) {
 		c.seal()
 	}
 	p.Main = newChunk("main", info.Main, 0)
-	c := &compiler{info: info, prog: p, chunk: p.Main, scope: info.Main, srs: usesSrs(info.Prog.Body)}
+	c := &compiler{info: info, prog: p, chunk: p.Main, scope: info.Main}
 	if err := c.stmts(info.Prog.Body); err != nil {
 		return nil, err
 	}
@@ -53,9 +53,13 @@ func Compile(info *sema.Info) (*Program, error) {
 
 // newChunk makes an empty chunk for a frame. Its word file holds the
 // homes of the frame's word symbols, if it has any; constants and
-// temporaries are appended as the compiler needs them.
+// temporaries are appended as the compiler needs them. Its code has room
+// for an instruction per AST node of the frame and a few more: typed code
+// covers several nodes an instruction and stack code about one, so no
+// chunk of the test corpus or of serve's generated programs outgrows it.
 func newChunk(name string, scope *sema.Scope, params int) *Chunk {
-	c := &Chunk{Name: name, NSlots: len(scope.Order), Params: params, Scope: scope}
+	c := &Chunk{Name: name, NSlots: len(scope.Order), Params: params, Scope: scope,
+		Code: make([]Instr, 0, codeCap(scope))}
 	for _, sym := range scope.Order {
 		if isWord(sym) {
 			c.growWords()
@@ -65,11 +69,14 @@ func newChunk(name string, scope *sema.Scope, params int) *Chunk {
 	return c
 }
 
-// growWords gives the chunk its word file's homes on first use.
+func codeCap(scope *sema.Scope) int { return scope.Nodes + 8 }
+
+// growWords gives the chunk its word file's homes on first use, with
+// room for the constants and temporaries of a typical frame (see konst).
 func (c *Chunk) growWords() {
 	if c.Words == nil {
-		c.Words = make([]uint64, c.NSlots)
-		c.wkind = make([]value.Kind, c.NSlots)
+		c.Words = make([]uint64, c.NSlots, c.NSlots+c.Scope.Nodes/6)
+		c.wkind = make([]value.Kind, c.NSlots, cap(c.Words))
 	}
 }
 
@@ -81,8 +88,8 @@ type compiler struct {
 	scope *sema.Scope
 
 	inFunc    bool
-	srs       bool       // the body names variables through SRS
 	predDepth int        // TXT MAH BFF nesting at the emission point
+	landing   int        // the last index patch resolved a jump to
 	ctxs      []breakCtx // innermost-last loop/switch contexts
 	consts    map[value.Value]int
 	wconsts   map[wconst]int // interned word constants
@@ -144,17 +151,21 @@ func (c *compiler) emitJump(op Op, n ast.Node) int {
 
 // patch resolves the jump at index at to the next instruction emitted.
 func (c *compiler) patch(at int) {
+	c.landing = len(c.chunk.Code)
 	if in := &c.chunk.Code[at]; in.Op.Word() {
-		in.D = len(c.chunk.Code)
+		in.D = c.landing
 	} else {
-		in.A = len(c.chunk.Code)
+		in.A = c.landing
 	}
 }
 
-// konst interns v in the chunk's constant pool.
+// konst interns v in the chunk's constant pool. The pools are made a bit
+// larger than serve's generated programs need: a constant for about every
+// 26 of the frame's nodes, and a word constant for about every 9.
 func (c *compiler) konst(v value.Value) int {
 	if c.consts == nil {
-		c.consts = make(map[value.Value]int)
+		c.consts = make(map[value.Value]int, c.scope.Nodes/16)
+		c.chunk.Consts = make([]value.Value, 0, c.scope.Nodes/16)
 	}
 	if i, ok := c.consts[v]; ok {
 		return i
@@ -186,7 +197,7 @@ func (c *compiler) wconst(k value.Kind, bits uint64) int {
 		return i
 	}
 	if c.wconsts == nil {
-		c.wconsts = make(map[wconst]int)
+		c.wconsts = make(map[wconst]int, c.scope.Nodes/6)
 	}
 	i := c.newWord(k, bits)
 	c.wconsts[key] = i
@@ -419,7 +430,7 @@ func (c *compiler) decl(n *ast.Decl) error {
 // symbol's value slot, at no step weight, and readSym reads an unmarked
 // word symbol as NOOB.
 func (c *compiler) wordDecl(n *ast.Decl, sym *sema.Symbol) error {
-	if c.srs {
+	if c.scope.Srs {
 		c.emitW(Instr{Op: OpConst, A: c.konst(value.NewTroof(true)), Pos: n.Position}, 0)
 		c.emitW(Instr{Op: OpStoreSlot, A: sym.Slot, Pos: n.Position}, 0)
 	}
@@ -446,19 +457,6 @@ func (c *compiler) wordDecl(n *ast.Decl, sym *sema.Symbol) error {
 	return nil
 }
 
-// usesSrs reports whether a body holds an SRS reference.
-func usesSrs(body []ast.Stmt) bool {
-	found := false
-	for _, s := range body {
-		ast.Walk(s, func(n ast.Node) bool {
-			_, isSrs := n.(*ast.Srs)
-			found = found || isSrs
-			return !found
-		})
-	}
-	return found
-}
-
 // ifStmt compiles an O RLY?. cond, when not nil, is the typed comparison
 // of the expression statement before it, which sets IT; otherwise IT is
 // already set.
@@ -476,7 +474,7 @@ func (c *compiler) ifStmt(n *ast.If, cond *ast.BinExpr) error {
 	if err := c.stmts(n.Then); err != nil {
 		return err
 	}
-	endJumps := []int{c.emitJump(OpJump, n)}
+	endJumps := c.endArm(nil, n, skip, len(n.Mebbes) == 0)
 	c.patch(skip)
 	for i := range n.Mebbes {
 		m := &n.Mebbes[i]
@@ -497,18 +495,30 @@ func (c *compiler) ifStmt(n *ast.If, cond *ast.BinExpr) error {
 		if err := c.stmts(m.Body); err != nil {
 			return err
 		}
-		endJumps = append(endJumps, c.emitJump(OpJump, n))
+		endJumps = c.endArm(endJumps, n, skip, i == len(n.Mebbes)-1)
 		c.patch(skip)
 	}
-	if n.Else != nil {
-		if err := c.stmts(n.Else); err != nil {
-			return err
-		}
+	if err := c.stmts(n.Else); err != nil {
+		return err
 	}
 	for _, j := range endJumps {
 		c.patch(j)
 	}
 	return nil
+}
+
+// endArm ends an O RLY? arm, which starts after the branch at skip, with
+// a jump past the construct, which it adds to jumps. The last arm before
+// OIC, with no NO WAI after it, needs no jump when its last instruction
+// falls through and no jump lands after it: that instruction takes the
+// jump's weight instead.
+func (c *compiler) endArm(jumps []int, n *ast.If, skip int, last bool) []int {
+	end := len(c.chunk.Code)
+	if last && len(n.Else) == 0 && end-1 > skip && c.landing != end && fallsThrough(c.chunk.Code[end-1].Op) {
+		c.addW(1)
+		return jumps
+	}
+	return append(jumps, c.emitJump(OpJump, n))
 }
 
 // itJump emits the IT branch for a typed comparison that sets IT and

@@ -233,6 +233,13 @@ func (op Op) Word() bool {
 	return op >= OpWSumI && op <= OpWWhatevar || op >= OpWIndex && op <= OpWUnbox
 }
 
+// fallsThrough reports whether op always goes on to the next
+// instruction: it is no jump, return or halt.
+func fallsThrough(op Op) bool {
+	return !(op >= OpJump && op <= OpJumpTrue || op >= OpWJumpBiggerI && op <= OpWJumpIT ||
+		op == OpWIncJump || op == OpJumpFalseKeep || op == OpJumpTrueKeep || op >= OpReturn)
+}
+
 // wordBinOp is the word opcode of a SUM OF … DIFFRINT op on operands of
 // kind k.
 func wordBinOp(op value.BinOp, k value.Kind) Op {
