@@ -16,11 +16,12 @@ const (
 
 // inferReps sets Rep on every frame symbol under the rules in the package
 // doc, once the checker has resolved every frame. A reference resolves
-// only in its own frame, so each frame is scanned and solved alone.
+// only in its own frame, so each frame is solved alone, from the uses the
+// checker recorded as it walked the frame.
 func (info *Info) inferReps() {
-	info.inferFrame(info.Main, info.Prog.Body)
+	info.inferFrame(info.Main)
 	for _, fi := range info.Funcs {
-		info.inferFrame(fi.Scope, fi.Decl.Body)
+		info.inferFrame(fi.Scope)
 	}
 }
 
@@ -31,9 +32,9 @@ func (info *Info) inferReps() {
 // static kind, under the current reps (only SRSLY stores cast, so there
 // is no promotion), and a loop header counting a NUMBR. Demotion only
 // makes more expressions dynamic, so the pass ends.
-func (info *Info) inferFrame(scope *Scope, body []ast.Stmt) {
-	u := &frameUses{syms: make([]symUse, len(scope.Order))}
-	u.stmts(body)
+func (info *Info) inferFrame(scope *Scope) {
+	u := scope.uses
+	scope.uses = nil
 	scope.Srs, scope.Nodes = u.srs, u.nodes
 	// Declaration order: an Init reads only symbols declared before it,
 	// so their optimistic reps are already in place.
@@ -119,12 +120,20 @@ func symOf(v *ast.VarRef) *Symbol {
 }
 
 // frameUses is what inferFrame needs to know about how one frame uses
-// its symbols.
+// its symbols. The checker records it as it walks the frame.
+//
+// A private's Decl dominates a reference when the reference lies after
+// the Decl in the statement list holding the Decl, so every path to the
+// reference ran the Decl first. The checker keeps each private a list
+// declares live for the rest of that list. Anything else, such as a read
+// after the OIC of the O RLY? that declared it or after a loop that may
+// run no times, is undominated. (LOLCODE scoping is function-flat, so
+// the checker resolves such reads.)
 type frameUses struct {
 	syms     []symUse // by slot
 	srs      bool     // the frame has an SRS
 	srsWrite bool     // the frame has an SRS target
-	nodes    int      // the AST nodes visited
+	nodes    int      // the AST nodes walked
 }
 
 type symUse struct {
@@ -136,104 +145,21 @@ type symUse struct {
 	assigns     []ast.Expr
 }
 
-// stmts scans one statement list, keeping each private it declares live
-// for the rest of the list. A private's Decl dominates a reference when
-// the reference lies after the Decl in the statement list holding the
-// Decl, so every path to the reference ran the Decl first. Anything
-// else, such as a read after the OIC of the O RLY? that declared it or
-// after a loop that may run no times, is undominated. (LOLCODE scoping
-// is function-flat, so the checker resolves such reads.)
-func (u *frameUses) stmts(ss []ast.Stmt) {
-	for _, s := range ss {
-		ast.Walk(s, u.visit)
-		u.setLive(s, true)
-	}
-	for _, s := range ss {
-		u.setLive(s, false)
-	}
-}
-
+// setLive marks the private a Decl statement declares live or not. A
+// Decl the checker rejected may carry no symbol, or one from an earlier
+// check of the tree; the check fails, so it is skipped or harmless.
 func (u *frameUses) setLive(s ast.Stmt, live bool) {
 	if d, ok := s.(*ast.Decl); ok {
-		u.syms[d.Sym.(*Symbol).Slot].live = live
+		if sym, ok := d.Sym.(*Symbol); ok && sym.Slot < len(u.syms) {
+			u.syms[sym.Slot].live = live
+		}
 	}
 }
 
 func (u *frameUses) ref(sym *Symbol) {
-	if sym != nil && sym.Kind == SymPrivate && !u.syms[sym.Slot].live {
+	if sym.Kind == SymPrivate && !u.syms[sym.Slot].live {
 		u.syms[sym.Slot].undominated = true
 	}
-}
-
-// target returns the use record of the symbol a store target names, or
-// nil. An SRS target marks the frame: the name is computed at run time,
-// so it may store any kind into any private there.
-func (u *frameUses) target(e ast.Expr) *symUse {
-	switch t := e.(type) {
-	case *ast.VarRef:
-		if sym := symOf(t); sym != nil {
-			return &u.syms[sym.Slot]
-		}
-	case *ast.Srs:
-		u.srsWrite = true
-	}
-	return nil
-}
-
-// visit records one node's uses for ast.Walk, and scans the statement
-// lists below it itself so each is its own dominance region.
-func (u *frameUses) visit(n ast.Node) bool {
-	u.nodes++
-	switch x := n.(type) {
-	case *ast.VarRef:
-		u.ref(symOf(x))
-	case *ast.Srs:
-		u.srs = true
-	case *ast.Assign:
-		if use := u.target(x.Target); use != nil {
-			use.assigns = append(use.assigns, x.Value)
-		}
-	case *ast.Gimmeh:
-		if use := u.target(x.Target); use != nil {
-			use.killed = true
-		}
-	case *ast.CastStmt:
-		if use := u.target(x.Target); use != nil {
-			use.killed = true
-		}
-	case *ast.If:
-		u.stmts(x.Then)
-		for _, m := range x.Mebbes {
-			ast.Walk(m.Cond, u.visit)
-			u.stmts(m.Body)
-		}
-		u.stmts(x.Else)
-		return false
-	case *ast.Switch:
-		for _, c := range x.Cases {
-			ast.Walk(c.Lit, u.visit)
-			u.stmts(c.Body)
-		}
-		u.stmts(x.Default)
-		return false
-	case *ast.Loop:
-		if sym, _ := x.Sym.(*Symbol); sym != nil {
-			u.ref(sym)
-			u.syms[sym.Slot].counter = true
-		}
-		ast.Walk(x.Cond, u.visit)
-		u.stmts(x.Body)
-		return false
-	case *ast.TxtStmt:
-		ast.Walk(x.Target, u.visit)
-		u.stmts([]ast.Stmt{x.Stmt})
-		return false
-	case *ast.TxtBlock:
-		ast.Walk(x.Target, u.visit)
-		u.stmts(x.Body)
-		return false
-	}
-	return true
 }
 
 // StaticKind reports the kind e is guaranteed to evaluate to, when that

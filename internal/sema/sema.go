@@ -152,10 +152,12 @@ type Scope struct {
 	// set once Check succeeds.
 	Srs   bool
 	Nodes int
+
+	uses *frameUses // what the checker saw of the body, until inferReps
 }
 
 func newScope(depth int) *Scope {
-	return &Scope{Names: make(map[string]*Symbol), Depth: depth}
+	return &Scope{Names: make(map[string]*Symbol), Depth: depth, uses: &frameUses{}}
 }
 
 func (s *Scope) declare(sym *Symbol) {
@@ -163,6 +165,7 @@ func (s *Scope) declare(sym *Symbol) {
 	sym.Depth = s.Depth
 	s.Names[sym.Name] = sym
 	s.Order = append(s.Order, sym)
+	s.uses.syms = append(s.uses.syms, symUse{})
 }
 
 // SrsNames is what an SRS can name where it appears: the implicit loop
@@ -290,23 +293,34 @@ func (c *checker) errorf(pos token.Pos, format string, args ...any) {
 	c.errs = append(c.errs, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
 }
 
+// stmts checks one statement list, keeping each private it declares live
+// for the rest of the list (see frameUses).
 func (c *checker) stmts(ss []ast.Stmt) {
 	for _, s := range ss {
 		c.stmt(s)
+		c.scope.uses.setLive(s, true)
+	}
+	for _, s := range ss {
+		c.scope.uses.setLive(s, false)
 	}
 }
 
 func (c *checker) stmt(s ast.Stmt) {
+	c.scope.uses.nodes++
 	switch n := s.(type) {
 	case *ast.Decl:
 		c.decl(n)
 
 	case *ast.Assign:
-		c.target(n.Target)
+		if use := c.target(n.Target); use != nil {
+			use.assigns = append(use.assigns, n.Value)
+		}
 		c.expr(n.Value)
 
 	case *ast.CastStmt:
-		c.target(n.Target)
+		if use := c.target(n.Target); use != nil {
+			use.killed = true
+		}
 
 	case *ast.Visible:
 		for _, a := range n.Args {
@@ -314,7 +328,9 @@ func (c *checker) stmt(s ast.Stmt) {
 		}
 
 	case *ast.Gimmeh:
-		c.target(n.Target)
+		if use := c.target(n.Target); use != nil {
+			use.killed = true
+		}
 
 	case *ast.ExprStmt:
 		c.expr(n.X)
@@ -453,6 +469,10 @@ func (c *checker) loop(n *ast.Loop) {
 			n.Sym = implicit
 		}
 	}
+	if sym, _ := n.Sym.(*Symbol); sym != nil {
+		c.scope.uses.ref(sym)
+		c.scope.uses.syms[sym.Slot].counter = true
+	}
 	if implicit != nil {
 		c.counters = append(c.counters, implicit)
 	}
@@ -476,6 +496,7 @@ func (c *checker) loop(n *ast.Loop) {
 }
 
 func (c *checker) lock(n *ast.Lock) {
+	c.scope.uses.nodes++ // n.Var
 	sym := c.resolve(n.Var)
 	if sym == nil {
 		return
@@ -485,36 +506,48 @@ func (c *checker) lock(n *ast.Lock) {
 	}
 }
 
-// target checks an assignment/GIMMEH target.
-func (c *checker) target(e ast.Expr) {
+// target checks an assignment/GIMMEH target, and returns the use record
+// of the variable it names, if it names one. An SRS target marks the
+// frame: its name is computed at run time, so it may store any kind into
+// any private there.
+func (c *checker) target(e ast.Expr) *symUse {
+	c.scope.uses.nodes++
 	switch t := e.(type) {
 	case *ast.VarRef:
 		// Whole-array assignment is legal too (ring example).
-		c.resolve(t)
-	case *ast.Index:
-		sym := c.resolve(t.Arr)
-		if sym != nil && !sym.IsArray && sym.Kind != SymParam && sym.Kind != SymIt {
-			c.errorf(t.Position, "%s is not an array; 'Z indexing needs a LOTZ A declaration", t.Arr.Name)
+		if sym := c.resolve(t); sym != nil {
+			return &c.scope.uses.syms[sym.Slot]
 		}
-		c.expr(t.IndexE)
+	case *ast.Index:
+		c.index(t)
 	case *ast.Srs:
+		c.scope.uses.srsWrite = true
 		c.srs(t)
 	default:
 		c.errorf(e.Pos(), "cannot assign to this expression")
 	}
+	return nil
+}
+
+func (c *checker) index(n *ast.Index) {
+	c.scope.uses.nodes++ // n.Arr
+	sym := c.resolve(n.Arr)
+	if sym != nil && !sym.IsArray && sym.Kind != SymParam && sym.Kind != SymIt {
+		c.errorf(n.Position, "%s is not an array; 'Z indexing needs a LOTZ A declaration", n.Arr.Name)
+	}
+	c.expr(n.IndexE)
 }
 
 func (c *checker) expr(e ast.Expr) {
+	if e == nil {
+		return
+	}
+	c.scope.uses.nodes++
 	switch n := e.(type) {
-	case nil:
 	case *ast.VarRef:
 		c.resolve(n)
 	case *ast.Index:
-		sym := c.resolve(n.Arr)
-		if sym != nil && !sym.IsArray && sym.Kind != SymParam && sym.Kind != SymIt {
-			c.errorf(n.Position, "%s is not an array; 'Z indexing needs a LOTZ A declaration", n.Arr.Name)
-		}
-		c.expr(n.IndexE)
+		c.index(n)
 	case *ast.BinExpr:
 		c.expr(n.X)
 		c.expr(n.Y)
@@ -540,9 +573,11 @@ func (c *checker) expr(e ast.Expr) {
 	case *ast.Srs:
 		c.srs(n)
 	case *ast.YarnLit:
+		c.scope.uses.nodes += len(n.Refs)
 		for _, r := range n.Refs {
 			if sym, ok := c.scope.Names[r.Name]; ok {
 				r.Sym = sym
+				c.scope.uses.ref(sym)
 			} else {
 				c.late = append(c.late, r)
 			}
@@ -552,6 +587,7 @@ func (c *checker) expr(e ast.Expr) {
 
 // srs checks an SRS and attaches what its name can resolve to.
 func (c *checker) srs(n *ast.Srs) {
+	c.scope.uses.srs = true
 	c.expr(n.X)
 	c.spaceCheck(n.Position, n.Space)
 	names := &SrsNames{Frame: c.scope}
@@ -570,6 +606,7 @@ func (c *checker) bindLate() {
 	for _, r := range c.late {
 		if sym, ok := c.scope.Names[r.Name]; ok {
 			r.Sym = sym
+			c.scope.uses.ref(sym)
 		} else {
 			c.errorf(r.Position, "variable %s has not been declared", r.Name)
 		}
@@ -590,6 +627,7 @@ func (c *checker) resolve(v *ast.VarRef) *Symbol {
 		c.errorf(v.Position, "UR %s: only WE HAS A symmetric variables are remotely addressable", v.Name)
 	}
 	v.Sym = sym
+	c.scope.uses.ref(sym)
 	return sym
 }
 

@@ -474,7 +474,7 @@ func (c *compiler) ifStmt(n *ast.If, cond *ast.BinExpr) error {
 	if err := c.stmts(n.Then); err != nil {
 		return err
 	}
-	endJumps := c.endArm(nil, n, skip, len(n.Mebbes) == 0)
+	endJumps := c.endArm(nil, n, len(n.Mebbes) == 0)
 	c.patch(skip)
 	for i := range n.Mebbes {
 		m := &n.Mebbes[i]
@@ -495,7 +495,7 @@ func (c *compiler) ifStmt(n *ast.If, cond *ast.BinExpr) error {
 		if err := c.stmts(m.Body); err != nil {
 			return err
 		}
-		endJumps = c.endArm(endJumps, n, skip, i == len(n.Mebbes)-1)
+		endJumps = c.endArm(endJumps, n, i == len(n.Mebbes)-1)
 		c.patch(skip)
 	}
 	if err := c.stmts(n.Else); err != nil {
@@ -507,14 +507,15 @@ func (c *compiler) ifStmt(n *ast.If, cond *ast.BinExpr) error {
 	return nil
 }
 
-// endArm ends an O RLY? arm, which starts after the branch at skip, with
-// a jump past the construct, which it adds to jumps. The last arm before
-// OIC, with no NO WAI after it, needs no jump when its last instruction
-// falls through and no jump lands after it: that instruction takes the
-// jump's weight instead.
-func (c *compiler) endArm(jumps []int, n *ast.If, skip int, last bool) []int {
+// endArm ends an O RLY? arm with a jump past the construct, which it adds
+// to jumps. The last arm before OIC, with no NO WAI after it, needs no
+// jump when its last instruction falls through and no jump lands after
+// it: that instruction takes the jump's weight instead. (An empty arm's
+// last instruction is the branch that skips it, which does not fall
+// through.)
+func (c *compiler) endArm(jumps []int, n *ast.If, last bool) []int {
 	end := len(c.chunk.Code)
-	if last && len(n.Else) == 0 && end-1 > skip && c.landing != end && fallsThrough(c.chunk.Code[end-1].Op) {
+	if last && len(n.Else) == 0 && c.landing != end && fallsThrough(c.chunk.Code[end-1].Op) {
 		c.addW(1)
 		return jumps
 	}
