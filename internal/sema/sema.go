@@ -576,8 +576,7 @@ func (c *checker) expr(e ast.Expr) {
 		c.scope.uses.nodes += len(n.Refs)
 		for _, r := range n.Refs {
 			if sym, ok := c.scope.Names[r.Name]; ok {
-				r.Sym = sym
-				c.scope.uses.ref(sym)
+				c.bind(r, sym)
 			} else {
 				c.late = append(c.late, r)
 			}
@@ -605,8 +604,7 @@ func (c *checker) srs(n *ast.Srs) {
 func (c *checker) bindLate() {
 	for _, r := range c.late {
 		if sym, ok := c.scope.Names[r.Name]; ok {
-			r.Sym = sym
-			c.scope.uses.ref(sym)
+			c.bind(r, sym)
 		} else {
 			c.errorf(r.Position, "variable %s has not been declared", r.Name)
 		}
@@ -626,9 +624,14 @@ func (c *checker) resolve(v *ast.VarRef) *Symbol {
 	if v.Space == ast.SpaceUr && sym.Kind != SymShared {
 		c.errorf(v.Position, "UR %s: only WE HAS A symmetric variables are remotely addressable", v.Name)
 	}
+	c.bind(v, sym)
+	return sym
+}
+
+// bind attaches sym to v and records the reference.
+func (c *checker) bind(v *ast.VarRef, sym *Symbol) {
 	v.Sym = sym
 	c.scope.uses.ref(sym)
-	return sym
 }
 
 func (c *checker) spaceCheck(pos token.Pos, sp ast.Space) {
